@@ -80,8 +80,11 @@ def parse_weights(spec: str) -> WeightMatrix:
             raise ValueError(f"bad seed in --weights {spec!r}")
         return WeightMatrix.random(seed)
     if spec.startswith("json:"):
-        with open(spec[5:]) as fh:
-            rows = json.load(fh)
+        try:
+            with open(spec[5:]) as fh:
+                rows = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read --weights file: {exc}") from None
         return WeightMatrix.from_rows(
             [[Fraction(str(x)) for x in row] for row in rows]
         )
@@ -100,8 +103,11 @@ def _config(args) -> RunConfig:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out file: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -269,12 +275,15 @@ def cmd_euler(args) -> int:
     if cfg.weights.is_symbolic:
         sys.stderr.write("euler needs numeric weights (seed:N or json:FILE)\n")
         return EXIT_USAGE
+    if args.samples < 1:
+        sys.stderr.write(f"error: --samples must be at least 1, got {args.samples}\n")
+        return EXIT_USAGE
     t0 = Fraction(args.t0)
     t_end = Fraction(args.t_end)
     family = TauFamily(cfg.params, cfg.weights)
     try:
         state = init_from_tau(family, t0)
-    except (DegenerateSpecialization, ZeroTauError) as exc:
+    except (DegenerateSpecialization, ZeroTauError, EulerTopError) as exc:
         sys.stderr.write(f"cannot seed the flow at t0={t0}: {exc}\n")
         return EXIT_USAGE
     cons = conserved_from_family(family)

@@ -3,12 +3,24 @@
 Representation
 --------------
 A polynomial lives in a ``PolyRing`` (an ordered tuple of symbol names) and is
-stored as a dict mapping exponent tuples to nonzero ``Fraction`` coefficients::
+stored as a positive ``Fraction`` ``content`` times a primitive integer part
+``terms``: a dict mapping exponent tuples to nonzero ``int`` coefficients
+whose gcd is 1::
 
-    3/2*t^2*w12 - 5   ->   {(2, 1): Fraction(3, 2), (0, 0): Fraction(-5)}
+    3/2*t^2*w12 - 5   ->   content 1/2, terms {(2, 1): 3, (0, 0): -10}
 
-for the ring ``PolyRing(("t", "w12"))``.  All arithmetic is exact; zero
-coefficients are dropped eagerly so that equality is plain dict comparison.
+for the ring ``PolyRing(("t", "w12"))``.  The zero polynomial has content 0
+and no terms.  The split is unique, so equality is plain comparison of content
+and terms.  This is the content-times-primitive layout of FLINT's
+``fmpq_mpoly``, and every coefficient operation runs on Python ints:
+
+* a product multiplies the contents and the integer parts and needs no
+  normalization, because a product of primitive polynomials is primitive
+  (Gauss's lemma);
+* a sum brings both integer parts over the gcd of the contents and divides
+  out the integer gcd of the result;
+* an exact quotient of primitive polynomials is primitive, so exact division
+  runs on the integer parts, where a remainder proves the division inexact.
 
 Monomial order is graded lexicographic: higher total degree first, ties broken
 by comparing exponent tuples in symbol declaration order.  The canonical text
@@ -30,9 +42,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import add as _add
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ExactAlgError(Exception):
@@ -98,7 +114,7 @@ class PolyRing:
             raise SymbolMismatch(f"symbol {name!r} not in ring {self.symbols}") from None
 
     def zero(self) -> "MultiPoly":
-        return MultiPoly(self, {})
+        return _raw_poly(self, _ZERO, {})
 
     def one(self) -> "MultiPoly":
         return self.const(1)
@@ -106,14 +122,14 @@ class PolyRing:
     def const(self, value: Scalar) -> "MultiPoly":
         c = _as_fraction(value)
         if c == 0:
-            return MultiPoly(self, {})
-        return MultiPoly(self, {(0,) * self.nvars: c})
+            return self.zero()
+        return _raw_poly(self, abs(c), {(0,) * self.nvars: 1 if c > 0 else -1})
 
     def var(self, name: str) -> "MultiPoly":
         i = self.index(name)
         exp = [0] * self.nvars
         exp[i] = 1
-        return MultiPoly(self, {tuple(exp): Fraction(1)})
+        return _raw_poly(self, _ONE, {tuple(exp): 1})
 
     def poly(self, terms: Mapping[tuple, Scalar]) -> "MultiPoly":
         return MultiPoly(self, terms)
@@ -126,7 +142,7 @@ def _grlex_key(exp: tuple) -> tuple:
 class MultiPoly:
     """Exact multivariate polynomial; see module docstring for representation."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "content", "terms")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple, Scalar]):
         clean: dict = {}
@@ -140,8 +156,16 @@ class MultiPoly:
             c = _as_fraction(coeff)
             if c != 0:
                 clean[exp] = c
+        # content = gcd of numerators / lcm of denominators
+        num, den = 0, 1
+        for c in clean.values():
+            num = _int_gcd(num, c.numerator)
+            den = den * c.denominator // _int_gcd(den, c.denominator)
         self.ring = ring
-        self.terms = clean
+        self.content = Fraction(num, den)
+        self.terms = {
+            e: c.numerator * (den // c.denominator) // num for e, c in clean.items()
+        }
 
     # -- basic queries ------------------------------------------------------
 
@@ -158,7 +182,7 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_constant:
             raise ExactAlgError(f"not a constant: {self}")
-        return next(iter(self.terms.values()))
+        return self.content * next(iter(self.terms.values()))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -178,14 +202,7 @@ class MultiPoly:
         if self.is_zero:
             raise ExactAlgError("zero polynomial has no leading term")
         exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
-
-    def denominator_lcm(self) -> int:
-        """Least common multiple of coefficient denominators (1 if integral)."""
-        lcm = 1
-        for c in self.terms.values():
-            lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-        return lcm
+        return exp, self.content * self.terms[exp]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -207,19 +224,33 @@ class MultiPoly:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        out = dict(self.terms)
+        if p.is_zero:
+            return self
+        if self.is_zero:
+            return p
+        # Over the gcd g of the contents both integer parts stay integral:
+        # self = g * ka * terms, p = g * kb * p.terms.
+        na, da = self.content.numerator, self.content.denominator
+        nb, db = p.content.numerator, p.content.denominator
+        gn, gd = _int_gcd(na, nb), _int_gcd(da, db)
+        ka, kb = na // gn * (db // gd), nb // gn * (da // gd)
+        if ka == 1:
+            out = dict(self.terms)
+        else:
+            out = {e: c * ka for e, c in self.terms.items()}
         for exp, c in p.terms.items():
-            s = out.get(exp, Fraction(0)) + c
+            s = out.get(exp, 0) + c * kb
             if s:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return _raw_poly(self.ring, out)
+        return _from_ints(self.ring, Fraction(gn, da // gd * db), out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw_poly(self.ring, {e: -c for e, c in self.terms.items()})
+        neg = {e: -c for e, c in self.terms.items()}
+        return _raw_poly(self.ring, self.content, neg)
 
     def __sub__(self, other):
         p = self._coerce(other)
@@ -242,32 +273,16 @@ class MultiPoly:
         a, b = self.terms, p.terms
         if len(a) > len(b):
             a, b = b, a
-        # Integer-only operands take a plain-int accumulation loop: Fraction
-        # renormalizes on every product, which dominates large multiplies.
-        if all(c.denominator == 1 for c in a.values()) and all(
-            c.denominator == 1 for c in b.values()
-        ):
-            ints: dict = {}
-            for ea, ca in a.items():
-                na = ca.numerator
-                for eb, cb in b.items():
-                    exp = tuple(x + y for x, y in zip(ea, eb))
-                    s = ints.get(exp, 0) + na * cb.numerator
-                    if s:
-                        ints[exp] = s
-                    else:
-                        del ints[exp]
-            return _raw_poly(self.ring, {e: Fraction(c) for e, c in ints.items()})
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(exp, Fraction(0)) + ca * cb
+                exp = tuple(map(_add, ea, eb))
+                s = out.get(exp, 0) + ca * cb
                 if s:
                     out[exp] = s
                 else:
                     del out[exp]
-        return _raw_poly(self.ring, out)
+        return _raw_poly(self.ring, self.content * p.content, out)
 
     __rmul__ = __mul__
 
@@ -288,7 +303,11 @@ class MultiPoly:
             other = self.ring.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (
+            self.ring == other.ring
+            and self.content == other.content
+            and self.terms == other.terms
+        )
 
     __hash__ = None  # mutable-ish container; not usable as a dict key
 
@@ -299,17 +318,11 @@ class MultiPoly:
         out: dict = {}
         for exp, c in self.terms.items():
             e = exp[i]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[i] = e - 1
-            key = tuple(new)
-            s = out.get(key, Fraction(0)) + c * e
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return _raw_poly(self.ring, out)
+            if e:
+                new = list(exp)
+                new[i] = e - 1
+                out[tuple(new)] = c * e
+        return _from_ints(self.ring, self.content, out)
 
     def subs(self, bindings: Mapping[str, object]) -> "MultiPoly":
         """Substitute symbols by scalars or polynomials of the same ring."""
@@ -324,7 +337,7 @@ class MultiPoly:
         result = self.ring.zero()
         pow_cache: dict = {}
         for exp, c in self.terms.items():
-            term = self.ring.const(c)
+            term = self.ring.const(self.content * c)
             for i, e in enumerate(exp):
                 if e == 0:
                     continue
@@ -334,15 +347,13 @@ class MultiPoly:
                         pow_cache[key] = values[i] ** e
                     term = term * pow_cache[key]
                 else:
-                    mono = [0] * self.ring.nvars
-                    mono[i] = e
-                    term = term * _raw_poly(self.ring, {tuple(mono): Fraction(1)})
+                    term = term * _var_power(self.ring, i, e)
             result = result + term
         return result
 
     def eval_all(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """Evaluate with every symbol bound to an exact rational."""
-        out = Fraction(0)
+        out = 0
         vals = [
             _as_fraction(bindings[s]) for s in self.ring.symbols
         ]  # KeyError if missing
@@ -352,14 +363,20 @@ class MultiPoly:
                 if e:
                     term *= v**e
             out += term
-        return out
+        return self.content * out
 
     def eval_float(self, bindings: Mapping[str, float]) -> float:
-        """Floating-point evaluation (for ODE monitoring, not identities)."""
+        """Floating-point evaluation (for ODE monitoring, not identities).
+
+        Sums the correctly rounded coefficients term by term in ``terms``
+        order; int / int division rounds correctly, so each coefficient
+        equals ``float`` of the exact rational.
+        """
         out = 0.0
         vals = [float(bindings[s]) for s in self.ring.symbols]
+        cn, cd = self.content.numerator, self.content.denominator
         for exp, c in self.terms.items():
-            term = float(c)
+            term = c * cn / cd
             for v, e in zip(vals, exp):
                 if e:
                     term *= v**e
@@ -375,7 +392,7 @@ class MultiPoly:
             for pos, e in zip(positions, exp):
                 new[pos] = e
             out[tuple(new)] = c
-        return _raw_poly(ring, out)
+        return _raw_poly(ring, self.content, out)
 
     # -- exact division -----------------------------------------------------
 
@@ -386,30 +403,36 @@ class MultiPoly:
             raise InexactDivision("division by zero polynomial")
         if self.is_zero:
             return self.ring.zero()
-        dexp, dc = d.leading()
+        dexp = max(d.terms, key=_grlex_key)
+        dc = d.terms[dexp]
         rem = dict(self.terms)
         q: dict = {}
         while rem:
             rexp = max(rem, key=_grlex_key)
-            rc = rem[rexp]
             qexp = tuple(a - b for a, b in zip(rexp, dexp))
-            if any(e < 0 for e in qexp):
+            qc, r = divmod(rem[rexp], dc)
+            if r or any(e < 0 for e in qexp):
                 raise InexactDivision(f"({self}) not divisible by ({d})")
-            qc = rc / dc
-            q[qexp] = q.get(qexp, Fraction(0)) + qc
+            q[qexp] = qc
             for exp, c in d.terms.items():
-                key = tuple(a + b for a, b in zip(qexp, exp))
-                s = rem.get(key, Fraction(0)) - qc * c
+                key = tuple(map(_add, qexp, exp))
+                s = rem.get(key, 0) - qc * c
                 if s:
                     rem[key] = s
                 else:
                     rem.pop(key, None)
-        return _raw_poly(self.ring, q)
+        return _raw_poly(self.ring, self.content / d.content, q)
 
     # -- serialization ------------------------------------------------------
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        """(exponent, exact coefficient) pairs in descending graded-lex order."""
+        return [
+            (exp, self.content * c)
+            for exp, c in sorted(
+                self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True
+            )
+        ]
 
     def text(self) -> str:
         if self.is_zero:
@@ -451,12 +474,25 @@ class MultiPoly:
         return cls(ring, {tuple(exp): Fraction(c) for exp, c in data["terms"]})
 
 
-def _raw_poly(ring: PolyRing, terms: dict) -> MultiPoly:
-    """Internal constructor for already-canonical term dicts."""
+def _raw_poly(ring: PolyRing, content: Fraction, terms: dict) -> MultiPoly:
+    """Internal constructor for an already primitive integer part."""
     p = MultiPoly.__new__(MultiPoly)
     p.ring = ring
+    p.content = content
     p.terms = terms
     return p
+
+
+def _from_ints(ring: PolyRing, content: Fraction, ints: dict) -> MultiPoly:
+    """content * ints with the integer gcd of ``ints`` moved into the content."""
+    if not ints:
+        return ring.zero()
+    g = 0
+    for c in ints.values():
+        g = _int_gcd(g, c)
+        if g == 1:
+            return _raw_poly(ring, content, ints)
+    return _raw_poly(ring, content * g, {e: c // g for e, c in ints.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +511,6 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
-def _rational_content(p: MultiPoly) -> Fraction:
-    c = Fraction(0)
-    for coeff in p.terms.values():
-        c = _frac_gcd(c, coeff)
-    return c
-
-
 def _coeffs_in(p: MultiPoly, i: int) -> dict:
     """Decompose as a polynomial in symbol i with coefficients free of it."""
     out: dict = {}
@@ -491,7 +520,7 @@ def _coeffs_in(p: MultiPoly, i: int) -> dict:
         rest[i] = 0
         d = out.setdefault(e, {})
         d[tuple(rest)] = c
-    return {e: _raw_poly(p.ring, d) for e, d in out.items()}
+    return {e: _from_ints(p.ring, p.content, d) for e, d in out.items()}
 
 
 def _degree_idx(p: MultiPoly, i: int) -> int:
@@ -508,129 +537,32 @@ def _lead_coeff_in(p: MultiPoly, i: int) -> MultiPoly:
             rest = list(exp)
             rest[i] = 0
             out[tuple(rest)] = c
-    return _raw_poly(p.ring, out)
+    return _from_ints(p.ring, p.content, out)
 
 
-# -- integer-coefficient core for the remainder sequence ---------------------
-#
-# The subresultant loop is multiplication-heavy, and Fraction normalizes on
-# every operation.  A gcd is only defined up to a scalar, so the loop can run
-# on plain-int coefficient dicts ({exponent tuple: int}) with denominators
-# cleared once up front.
+def _var_power(ring: PolyRing, i: int, e: int) -> MultiPoly:
+    exp = [0] * ring.nvars
+    exp[i] = e
+    return _raw_poly(ring, _ONE, {tuple(exp): 1})
 
 
-def _zz_clear(p: MultiPoly) -> dict:
-    """Integer-coefficient copy of p, scaled to integer content one."""
-    lcm = 1
-    for c in p.terms.values():
-        lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-    ints = {e: c.numerator * (lcm // c.denominator) for e, c in p.terms.items()}
-    g = 0
-    for c in ints.values():
-        g = _int_gcd(g, c)
-    if g > 1:
-        ints = {e: c // g for e, c in ints.items()}
-    return ints
-
-
-def _zz_to_poly(ring: PolyRing, z: dict) -> MultiPoly:
-    return _raw_poly(ring, {e: Fraction(c) for e, c in z.items()})
-
-
-def _zz_deg(z: dict, i: int) -> int:
-    if not z:
-        return -1
-    return max(e[i] for e in z)
-
-
-def _zz_lead_in(z: dict, i: int) -> dict:
-    d = _zz_deg(z, i)
-    out = {}
-    for exp, c in z.items():
-        if exp[i] == d:
-            rest = list(exp)
-            rest[i] = 0
-            out[tuple(rest)] = c
-    return out
-
-
-def _zz_mul(x: dict, y: dict) -> dict:
-    if len(x) > len(y):
-        x, y = y, x
-    out: dict = {}
-    for e1, c1 in x.items():
-        for e2, c2 in y.items():
-            k = tuple(i + j for i, j in zip(e1, e2))
-            v = out.get(k, 0) + c1 * c2
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    return out
-
-
-def _zz_pow(x: dict, n: int, nvars: int) -> dict:
-    out = {(0,) * nvars: 1}
-    for _ in range(n):
-        out = _zz_mul(out, x)
-    return out
-
-
-def _zz_pseudo_rem(a: dict, b: dict, i: int, nvars: int) -> dict:
+def _pseudo_rem(a: MultiPoly, b: MultiPoly, i: int) -> MultiPoly:
     """Strict pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b in symbol i.
 
     The full multiplier matters: the subresultant divisions assume it, so
     when cancellation drops the degree by more than one per pass the missing
     lc(b) factors are restored at the end.
     """
-    db = _zz_deg(b, i)
-    lcb = _zz_lead_in(b, i)
+    db = _degree_idx(b, i)
+    lcb = _lead_coeff_in(b, i)
     r = a
-    missing = _zz_deg(a, i) - db + 1
-    while r and _zz_deg(r, i) >= db:
-        dr = _zz_deg(r, i)
-        shift = dr - db
-        new = _zz_mul(lcb, r)
-        for e2, c2 in _zz_mul(_zz_lead_in(r, i), b).items():
-            k = list(e2)
-            k[i] += shift
-            k = tuple(k)
-            v = new.get(k, 0) - c2
-            if v:
-                new[k] = v
-            elif k in new:
-                del new[k]
-        r = new
+    missing = _degree_idx(a, i) - db + 1
+    while not r.is_zero and (dr := _degree_idx(r, i)) >= db:
+        r = lcb * r - _lead_coeff_in(r, i) * _var_power(r.ring, i, dr - db) * b
         missing -= 1
-    if missing > 0 and r:
-        r = _zz_mul(_zz_pow(lcb, missing, nvars), r)
+    if missing > 0 and not r.is_zero:
+        r = lcb**missing * r
     return r
-
-
-def _zz_divexact(x: dict, y: dict) -> dict:
-    """Exact quotient x / y on integer dicts; graded-lex elimination."""
-    if not y:
-        raise ZeroDivisionError("exact division by zero polynomial")
-    ye = max(y, key=_grlex_key)
-    yc = y[ye]
-    rem = dict(x)
-    out: dict = {}
-    while rem:
-        xe = max(rem, key=_grlex_key)
-        xc = rem[xe]
-        qe = tuple(a - b for a, b in zip(xe, ye))
-        if any(q < 0 for q in qe) or xc % yc:
-            raise InexactDivision("quotient is not a polynomial")
-        qc = xc // yc
-        out[qe] = qc
-        for e2, c2 in y.items():
-            k = tuple(i + j for i, j in zip(qe, e2))
-            v = rem.get(k, 0) - qc * c2
-            if v:
-                rem[k] = v
-            elif k in rem:
-                del rem[k]
-    return out
 
 
 # -- gcd degree bounds from integer evaluation --------------------------------
@@ -640,6 +572,7 @@ def _zz_divexact(x: dict, y: dict) -> dict:
 # coefficient alive, deg gcd(a, b) in that symbol is at most the degree of
 # the univariate integer gcd of the images.  A bound of zero everywhere
 # proves the gcd is a constant and skips the remainder sequence outright.
+# The images are taken of the integer parts, which the content cannot move.
 
 _EVAL_POINTS = (
     (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67),
@@ -648,20 +581,21 @@ _EVAL_POINTS = (
 )
 
 
-def _zz_eval_except(z: dict, main: int, pts: tuple) -> dict:
-    """Univariate image {degree in main: int} at xj = pts[j] for j != main."""
+def _eval_except(p: MultiPoly, main: int, pts: tuple) -> dict:
+    """Univariate image {degree in main: int} of the integer part of p at
+    xj = pts[j] for j != main."""
     out: dict = {}
     cache: dict = {}
-    for exp, c in z.items():
+    for exp, c in p.terms.items():
         v = c
         for j, e in enumerate(exp):
             if j == main or e == 0:
                 continue
-            p = cache.get((j, e))
-            if p is None:
-                p = pts[j] ** e
-                cache[(j, e)] = p
-            v *= p
+            pw = cache.get((j, e))
+            if pw is None:
+                pw = pts[j] ** e
+                cache[(j, e)] = pw
+            v *= pw
         d = exp[main]
         s = out.get(d, 0) + v
         if s:
@@ -701,7 +635,7 @@ def _uni_gcd_degree(u: dict, v: dict) -> int:
     return max(u)
 
 
-def _gcd_var_bounds(za: dict, zb: dict, dva: list, dvb: list) -> list:
+def _gcd_var_bounds(a: MultiPoly, b: MultiPoly, dva: list, dvb: list) -> list:
     """Per-symbol upper bounds for the gcd degree (None where unproven)."""
     bounds = []
     for i in range(len(dva)):
@@ -710,8 +644,8 @@ def _gcd_var_bounds(za: dict, zb: dict, dva: list, dvb: list) -> list:
             continue
         bound = None
         for pts in _EVAL_POINTS:
-            ia = _zz_eval_except(za, i, pts)
-            ib = _zz_eval_except(zb, i, pts)
+            ia = _eval_except(a, i, pts)
+            ib = _eval_except(b, i, pts)
             if ia and ib and max(ia) == dva[i] and max(ib) == dvb[i]:
                 bound = _uni_gcd_degree(ia, ib)
                 break
@@ -751,7 +685,7 @@ def _monomial_quot(p: MultiPoly, m: tuple) -> MultiPoly:
     out = {}
     for exp, c in p.terms.items():
         out[tuple(e - f for e, f in zip(exp, m))] = c
-    return _raw_poly(p.ring, out)
+    return _raw_poly(p.ring, p.content, out)
 
 
 def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -761,24 +695,21 @@ def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if b.is_zero:
         return a
     if a.is_constant or b.is_constant:
-        return ring.const(_frac_gcd(_rational_content(a), _rational_content(b)))
+        return ring.const(_frac_gcd(a.content, b.content))
     # Split off the common monomial part first: after division neither
     # operand is divisible by any single symbol, so the two gcd factors are
     # coprime and multiply back exactly.  (Tau denominators are mostly pure
     # powers of t, which this catches for free.)
     ma, mb = _monomial_min(a), _monomial_min(b)
     if any(ma) or any(mb):
-        common = _raw_poly(
-            ring, {tuple(min(e, f) for e, f in zip(ma, mb)): Fraction(1)}
-        )
+        common = _raw_poly(ring, _ONE, {tuple(min(e, f) for e, f in zip(ma, mb)): 1})
         return common * _gcd_rec(_monomial_quot(a, ma), _monomial_quot(b, mb))
     nv = ring.nvars
-    za, zb = _zz_clear(a), _zz_clear(b)
-    dva = [_zz_deg(za, i) for i in range(nv)]
-    dvb = [_zz_deg(zb, i) for i in range(nv)]
-    bounds = _gcd_var_bounds(za, zb, dva, dvb)
+    dva = [_degree_idx(a, i) for i in range(nv)]
+    dvb = [_degree_idx(b, i) for i in range(nv)]
+    bounds = _gcd_var_bounds(a, b, dva, dvb)
     if all(x == 0 for x in bounds):
-        return ring.const(_frac_gcd(_rational_content(a), _rational_content(b)))
+        return ring.const(_frac_gcd(a.content, b.content))
     # Main symbol: smallest positive degree (shortest remainder sequence)
     # among symbols the gcd can actually contain.
     main, best = -1, -1
@@ -789,7 +720,7 @@ def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         if d > 0 and (best < 0 or d < best):
             main, best = i, d
     if main < 0:  # unreachable given the all-zero check, but keep safe
-        return ring.const(_frac_gcd(_rational_content(a), _rational_content(b)))
+        return ring.const(_frac_gcd(a.content, b.content))
     if dva[main] == 0:
         return _gcd_rec(a, _content_in(b, main))
     if dvb[main] == 0:
@@ -797,35 +728,34 @@ def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     ca = _content_in(a, main)
     cb = _content_in(b, main)
     cg = _gcd_rec(ca, cb)
-    zg = _zz_clear(a.divexact(ca))
-    zh = _zz_clear(b.divexact(cb))
-    if _zz_deg(zg, main) < _zz_deg(zh, main):
-        zg, zh = zh, zg
+    g = a.divexact(ca)
+    h = b.divexact(cb)
+    if _degree_idx(g, main) < _degree_idx(h, main):
+        g, h = h, g
     # Subresultant sequence on the primitive parts: each pseudo-remainder is
     # divided exactly by the tracked beta factor, so no content gcds are
     # needed inside the loop -- only once on the final element.
-    one = (0,) * nv
-    gap = _zz_deg(zg, main) - _zz_deg(zh, main)
-    beta = {one: (-1) ** (gap + 1)}
-    psi = {one: -1}
+    gap = _degree_idx(g, main) - _degree_idx(h, main)
+    beta = ring.const((-1) ** (gap + 1))
+    psi = ring.const(-1)
     while True:
-        r = _zz_pseudo_rem(zg, zh, main, nv)
-        if not r:
+        r = _pseudo_rem(g, h, main)
+        if r.is_zero:
             break
-        dr = _zz_deg(r, main)
+        dr = _degree_idx(r, main)
         if dr == 0:
-            zh = {one: 1}
+            h = ring.one()
             break
-        r = _zz_divexact(r, beta)
-        neg_lch = {e: -c for e, c in _zz_lead_in(zh, main).items()}
+        r = r.divexact(beta)
+        neg_lch = -_lead_coeff_in(h, main)
         if gap == 1:
             psi = neg_lch
         elif gap > 1:
-            psi = _zz_divexact(_zz_pow(neg_lch, gap, nv), _zz_pow(psi, gap - 1, nv))
-        gap = _zz_deg(zh, main) - dr
-        beta = _zz_mul(neg_lch, _zz_pow(psi, gap, nv))
-        zg, zh = zh, r
-    return cg * _primitive_in(_zz_to_poly(ring, zh), main)
+            psi = (neg_lch**gap).divexact(psi ** (gap - 1))
+        gap = _degree_idx(h, main) - dr
+        beta = neg_lch * psi**gap
+        g, h = h, r
+    return cg * _primitive_in(h, main)
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -837,7 +767,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     g = _gcd_rec(a, b)
     _, lc = g.leading()
     if lc != 1:
-        g = _raw_poly(g.ring, {e: c / lc for e, c in g.terms.items()})
+        g = g * (1 / lc)
     return g
 
 
@@ -970,24 +900,9 @@ class RatFunc:
         _, lc = den.leading()
         if lc != 1:
             inv = 1 / lc
-            num = _raw_poly(num.ring, {e: c * inv for e, c in num.terms.items()})
-            den = _raw_poly(den.ring, {e: c * inv for e, c in den.terms.items()})
+            num, den = num * inv, den * inv
         self.num = num
         self.den = den
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "RatFunc":
-        return cls(p)
-
-    @classmethod
-    def const(cls, ring: PolyRing, value: Scalar) -> "RatFunc":
-        return cls(ring.const(value))
-
-    @classmethod
-    def var(cls, ring: PolyRing, name: str) -> "RatFunc":
-        return cls(ring.var(name))
 
     @property
     def ring(self) -> PolyRing:
@@ -1097,21 +1012,6 @@ class RatFunc:
             )
         return RatFunc(num, den)
 
-    def subs(self, bindings: Mapping[str, "RatFunc"]) -> "RatFunc":
-        """Substitute symbols by rational functions of the same ring."""
-        parts = {}
-        for name, v in bindings.items():
-            if isinstance(v, (int, Fraction)):
-                v = RatFunc.const(self.ring, v)
-            elif isinstance(v, MultiPoly):
-                v = RatFunc(v)
-            parts[name] = v
-        num = _poly_sub_ratfunc(self.num, parts)
-        den = _poly_sub_ratfunc(self.den, parts)
-        if den.is_zero:
-            raise DegenerateSpecialization("denominator vanishes under substitution")
-        return num / den
-
     def eval_all(self, bindings: Mapping[str, Scalar]) -> Fraction:
         den = self.den.eval_all(bindings)
         if den == 0:
@@ -1139,25 +1039,6 @@ class RatFunc:
     @classmethod
     def from_json(cls, data: Mapping) -> "RatFunc":
         return cls(MultiPoly.from_json(data["num"]), MultiPoly.from_json(data["den"]))
-
-
-def _poly_sub_ratfunc(p: MultiPoly, bindings: Mapping[str, RatFunc]) -> RatFunc:
-    ring = p.ring
-    values = {ring.index(k): v for k, v in bindings.items()}
-    out = RatFunc(ring.zero())
-    for exp, c in p.terms.items():
-        term = RatFunc(ring.const(c))
-        for i, e in enumerate(exp):
-            if e == 0:
-                continue
-            if i in values:
-                term = term * values[i] ** e
-            else:
-                mono = [0] * ring.nvars
-                mono[i] = e
-                term = term * _raw_poly(ring, {tuple(mono): Fraction(1)})
-        out = out + term
-    return out
 
 
 def poly_json_text(p) -> str:

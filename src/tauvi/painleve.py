@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 from .exactalg import MultiPoly, RatFunc
@@ -263,22 +262,14 @@ def omega_products(f: RatFunc, r2: int, tname: str = "t") -> Tuple[RatFunc, ...]
     )
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def _sigma_parts(sigma: RatFunc, tname: str):
-    """(numerator, denominator, first and second Wronskian-style derivative
-    combinations) of sigma, with denominators cleared.
+    """(numerator p, denominator q, and the Wronskian-style combinations
+    p'q - pq' and (p'q - pq')'q - 2q'(p'q - pq')) of sigma.
 
-    Every consumer is homogeneous in (numerator, denominator), so scaling
-    both by the common coefficient lcm is invisible downstream -- and keeps
-    the heavy products on the integer fast path.
+    With them sigma' = sd1/q^2 and sigma'' = sd2/q^3, so every consumer
+    works on polynomials and divides by a power of q once at the end.
     """
     sp, sq = sigma.num, sigma.den
-    scale = _lcm(sp.denominator_lcm(), sq.denominator_lcm())
-    if scale > 1:
-        sp, sq = sp * scale, sq * scale
     dsp, dsq = sp.derivative(tname), sq.derivative(tname)
     sd1 = dsp * sq - sp * dsq
     sd2 = sd1.derivative(tname) * sq - 2 * dsq * sd1
@@ -322,25 +313,16 @@ def sigma_form_residual(
     sq2 = sq * sq
     tt1 = t * (t - 1)
     e4 = v1 * v2 * v3 * v4
-    # The v's can be half-integers; fold their denominators into integer
-    # prefactors so every large product stays on the integer fast path.
-    # num and den carry the same overall constant, which reduces away.
-    d2 = e4.denominator
-    dks = [(vk * vk).denominator for vk in (v1, v2, v3, v4)]
-    d3 = dks[0] * dks[1] * dks[2] * dks[3]
-    scale = _lcm(d2 * d2, d3)
     term1 = sd1 * (tt1 * sd2) ** 2
-    inner = d2 * (sd1 * (2 * sp * sq - (2 * t - 1) * sd1)) + int(d2 * e4) * (
-        sq2 * sq2
-    )
+    inner = sd1 * (2 * sp * sq - (2 * t - 1) * sd1) + e4 * (sq2 * sq2)
     term2 = inner * inner
     term3 = ring.one()
-    for vk, dk in zip((v1, v2, v3, v4), dks):
-        term3 = term3 * (dk * sd1 + int(dk * vk * vk) * sq2)
-    num = scale * term1 + (scale // (d2 * d2)) * term2 - (scale // d3) * term3
+    for vk in (v1, v2, v3, v4):
+        term3 = term3 * (sd1 + vk * vk * sq2)
+    num = term1 + term2 - term3
     if num.is_zero:
         return RatFunc(ring.zero())
-    return RatFunc(num, scale * sq2**4)
+    return RatFunc(num, sq2**4)
 
 
 def pvi_residual(
@@ -356,9 +338,6 @@ def pvi_residual(
     The numerator is assembled over an explicit multiple of the denominator
     2 t^2 (t-1)^2 Q^3 U^2 V^2 W^2 (with U = y_num, V = y_num - y_den,
     W = y_num - t*y_den), so the all-important zero test needs no gcd.
-    Every piece is homogeneous of degree nine in (y_num, y_den), which lets
-    the rational coefficients be cleared up front: the big products then run
-    in integer arithmetic and the common constant cancels on reduction.
     """
     alpha, beta, gamma, delta = (
         Fraction(x) for x in (alpha, beta, gamma, delta)
@@ -366,9 +345,6 @@ def pvi_residual(
     ring = y.ring
     t = ring.var(tname)
     P, Q = y.num, y.den
-    lam = _lcm(P.denominator_lcm(), Q.denominator_lcm())
-    if lam > 1:
-        P, Q = P * lam, Q * lam
     U = P
     V = P - Q
     W = P - t * Q
@@ -378,13 +354,6 @@ def pvi_residual(
         raise FixedSingularityError("y is identically 1")
     if W.is_zero:
         raise FixedSingularityError("y is identically t")
-    scale = _lcm(
-        _lcm(alpha.denominator, beta.denominator),
-        _lcm(gamma.denominator, delta.denominator),
-    )
-    ia, ib, ic, id_ = (
-        int(scale * x) for x in (alpha, beta, gamma, delta)
-    )
     dP, dQ = P.derivative(tname), Q.derivative(tname)
     N1 = dP * Q - P * dQ
     N2 = N1.derivative(tname) * Q - 2 * dQ * N1
@@ -395,19 +364,19 @@ def pvi_residual(
     sumpairs = UV + UW + VW
     u2v2w2 = UVW * UVW
     Q2 = Q * Q
-    num = scale * (
+    num = (
         2 * tt1sq * u2v2w2 * N2
         - tt1sq * (N1 * N1) * sumpairs * UVW
         + 2 * N1 * Q * tt1 * (UV * UV) * W * ((2 * t - 1) * W + tt1 * Q)
     ) - 2 * (
-        ia * (UVW * u2v2w2)
-        + ib * ((t * Q2) * (U * (VW * VW * VW)))
-        + ic * (((t - 1) * Q2) * (V * (UW * UW * UW)))
-        + id_ * ((tt1 * Q2) * (W * (UV * UV * UV)))
+        alpha * (UVW * u2v2w2)
+        + beta * ((t * Q2) * (U * (VW * VW * VW)))
+        + gamma * (((t - 1) * Q2) * (V * (UW * UW * UW)))
+        + delta * ((tt1 * Q2) * (W * (UV * UV * UV)))
     )
     if num.is_zero:
         return RatFunc(ring.zero())
-    den = (2 * scale) * tt1sq * Q * Q2 * u2v2w2
+    den = 2 * tt1sq * Q * Q2 * u2v2w2
     return RatFunc(num, den)
 
 

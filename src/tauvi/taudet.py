@@ -10,8 +10,8 @@ is *supported* when
 Three equivalent constructions of the same tau function are provided:
 
 * ``build_T``  -- square matrix of size 2*m1 - m2 - m3 whose entries are
-  weights times divided powers of t; ``tau0`` divides the signed determinant
-  by t^R2 where R2 = (sum mu_i^2 - sum nu_i^2) / 2.
+  weights times divided powers of t; ``TauFamily.tau0`` divides the signed
+  determinant by t^R2 where R2 = (sum mu_i^2 - sum nu_i^2) / 2.
 * ``build_E``  -- same shape with the divided powers replaced by elementary
   Schur polynomials of the time differences u^(2)-u^(1) and u^(3)-u^(1);
   ``build_T`` is the specialization u^(2)-u^(1) = (t, 0, ...),
@@ -404,19 +404,6 @@ def tau_from_A(params, weights, u, ring, nu=None):
 # ---------------------------------------------------------------------------
 
 
-def tau0(params: ScalingParams, weights: WeightMatrix, ring: PolyRing = None) -> RatFunc:
-    """The tau function at the (t, h=t... ) projection: sign * det(T) / t^R2."""
-    if ring is None:
-        ring = tau_ring(weights)
-    mat = build_T(params, weights, ring)
-    if mat is None:
-        return RatFunc(ring.zero())
-    det = fraction_free_det(mat, ring)
-    num = det if sign_E(params.m[0], params.nu) > 0 else -det
-    t = ring.var("t")
-    return RatFunc(num, t ** params.R2)
-
-
 class TauFamily:
     """All charge vectors of one (mu, nu) family over a fixed weight matrix."""
 
@@ -437,6 +424,7 @@ class TauFamily:
         return self._dets[nu]
 
     def tau0(self, nu=None) -> RatFunc:
+        """The tau function at the (t, h=t... ) projection: sign * det(T) / t^R2."""
         nu = self.params.nu if nu is None else _triple("nu", nu)
         det = self.det_T(nu)
         if det.is_zero:

@@ -105,6 +105,18 @@ def test_tau_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["R2"] == 3
 
 
+def test_unreadable_weights_file_and_unwritable_out_exit_usage(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    for argv in (
+        [f"--weights=json:{missing / 'w.json'}"],
+        [f"--out={missing / 'tau.json'}"],
+    ):
+        code, out, err = run(capsys, "tau", ARG_MU, ARG_NU, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -275,6 +287,25 @@ def test_euler_rejects_symbolic_weights(capsys):
     code, _, err = run(capsys, "euler", ARG_MU, ARG_NU)
     assert code == EXIT_USAGE
     assert "numeric" in err
+
+
+@pytest.mark.parametrize("t0", ["0", "1"])
+def test_euler_t0_at_fixed_singularity_exits_usage(capsys, t0):
+    code, out, err = run(
+        capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11", f"--t0={t0}"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "fixed singularities" in err and err.count("\n") == 1
+
+
+def test_euler_zero_samples_exits_usage(capsys):
+    code, out, err = run(
+        capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11", "--samples=0"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_euler_reports_movable_pole(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -40,14 +41,15 @@ def _rand_poly(ring: PolyRing, rng: Random, terms=4, max_exp=3, max_coeff=6):
 
 
 def _to_sympy(p: MultiPoly):
+    """content * (integer part), rebuilt as a sympy expression."""
     syms = sympy.symbols(p.ring.symbols)
     expr = sympy.Integer(0)
     for exp, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
+        term = sympy.Integer(c)
         for s, e in zip(syms, exp):
             term *= s**e
         expr += term
-    return sympy.expand(expr)
+    return sympy.expand(sympy.Rational(p.content.numerator, p.content.denominator) * expr)
 
 
 # -- ring / polynomial basics -------------------------------------------------
@@ -106,13 +108,6 @@ def test_degrees_and_leading_term():
     assert exp == (2, 1) and lc == 1
 
 
-def test_denominator_lcm():
-    x = XY.var("x")
-    p = x * Fraction(1, 6) + Fraction(3, 4)
-    assert p.denominator_lcm() == 12
-    assert (p * 12).denominator_lcm() == 1
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_product_rule(data):
@@ -152,6 +147,80 @@ def test_derivative_matches_finite_difference():
         approx = num / (2 * h)
         exact = df.eval_all({"t": t0})
         assert abs(float(approx - exact)) < 1e-8 * max(1.0, abs(float(exact)))
+
+
+# -- the content x primitive kernel against sympy -----------------------------
+
+_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+# A random polynomial times a random scale, so operands rarely share a
+# content; the large scale pushes coefficients past float precision.
+_polys = st.builds(
+    lambda terms, scale: MultiPoly(XY, terms) * scale,
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), _rationals, max_size=6
+    ),
+    st.sampled_from(
+        [Fraction(1), Fraction(1, 7), Fraction(6), Fraction(-10, 3), Fraction(3**40, 7)]
+    ),
+)
+
+
+def _assert_canonical(p: MultiPoly):
+    assert isinstance(p.content, Fraction)
+    if not p.terms:
+        assert p.content == 0 and p == XY.zero()
+        return
+    assert p.content > 0
+    assert all(type(c) is int and c != 0 for c in p.terms.values())
+    g = 0
+    for c in p.terms.values():
+        g = gcd(g, c)
+    assert g == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys, _rationals, _rationals)
+def test_kernel_matches_sympy(a, b, x0, y0):
+    x, y = sympy.symbols("x y")
+    sa, sb = _to_sympy(a), _to_sympy(b)
+    for p, want in (
+        (a + b, sa + sb),
+        (a - b, sa - sb),
+        (a * b, sa * sb),
+        (a.derivative("x"), sympy.diff(sa, x)),
+        (a.derivative("y"), sympy.diff(sa, y)),
+    ):
+        _assert_canonical(p)
+        assert sympy.expand(_to_sympy(p) - want) == 0
+    _assert_canonical(a - a)
+    assert (a - a).is_zero
+    if not b.is_zero:
+        q = (a * b).divexact(b)
+        _assert_canonical(q)
+        assert q == a
+    want = sa.subs({x: sympy.Rational(str(x0)), y: sympy.Rational(str(y0))})
+    assert a.eval_all({"x": x0, "y": y0}) == Fraction(str(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, st.floats(-3, 3), st.floats(-3, 3))
+def test_eval_float_sums_exact_coefficients_in_term_order(p, x0, y0):
+    want = 0.0
+    for exp, c in p.terms.items():
+        term = float(p.content * c)
+        for v, e in zip((x0, y0), exp):
+            if e:
+                term *= v**e
+        want += term
+    assert p.eval_float({"x": x0, "y": y0}) == want
+
+
+def test_text_shows_exact_coefficients():
+    x = XY.var("x")
+    p = x * Fraction(3, 2) - 5
+    assert p.content == Fraction(1, 2)
+    assert p.terms == {(1, 0): 3, (0, 0): -10}
+    assert p.text() == "3/2*x - 5"
 
 
 # -- exact division and gcd ---------------------------------------------------
@@ -329,13 +398,6 @@ def test_specialize_examples():
         r.specialize({"t": 1})
     with pytest.raises(DegenerateSpecialization):
         r.eval_all({"t": Fraction(1)})
-
-
-def test_subs_with_rational_functions():
-    t = T.var("t")
-    r = RatFunc(t**2)
-    half_inv = RatFunc(T.one(), t)  # t -> 1/t
-    assert r.subs({"t": half_inv}) == RatFunc(T.one(), t**2)
 
 
 def test_ratfunc_negative_power():

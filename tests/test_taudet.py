@@ -26,7 +26,6 @@ from tauvi.taudet import (
     rotation_beta_bar,
     sign_A,
     sign_E,
-    tau0,
     tau_from_A,
     tau_from_E,
     tau_ring,
@@ -163,7 +162,7 @@ def test_build_T_worked_example_structure(params6, wsym, ring6):
 
 
 def test_tau0_worked_example_golden(params6, wsym, ring6):
-    got = tau0(params6, wsym, ring6)
+    got = TauFamily(params6, wsym).tau0()
     D, _, _ = d_polys(ring6)
     t = ring6.var("t")
     num = D * expand_d_table(ring6, TAU0_NUM)
@@ -174,7 +173,7 @@ def test_tau0_worked_example_golden(params6, wsym, ring6):
 def test_tau0_empty_family_is_one():
     p = normalize_params((0, 0, 0), (0, 0, 0))
     w = WeightMatrix.symbolic()
-    assert tau0(p, w) == 1
+    assert TauFamily(p, w).tau0() == 1
 
 
 def test_tau0_off_support_is_zero(params6, wsym):
@@ -198,7 +197,7 @@ def test_one_by_one_matrix_case():
     ring = tau_ring(w)
     mat = build_T(p, w, ring)
     assert len(mat) == 1
-    got = tau0(p, w, ring)
+    got = TauFamily(p, w).tau0()
     assert not got.is_zero
 
 
