@@ -120,6 +120,13 @@ def _frac(x) -> str:
     return str(Fraction(x))
 
 
+def _parse_time(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} must be an exact rational, got {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -152,13 +159,16 @@ def cmd_solve(args) -> int:
     result = solve_family(cfg.params, cfg.weights, branches=branches)
     branch_docs = []
     all_zero = True
+    if result.branches:
+        # The sigma form sees v only through v1*v2*v3*v4 and the squares
+        # v_k^2, which every branch of the family shares: one check serves all.
+        first = result.branches[0]
+        ok_sigma = sigma_form_residual(result.sigma, first.v).is_zero
     for data in result.branches:
         rho_pvi = pvi_residual(
             data.y, data.alpha, data.beta, data.gamma, data.delta
         )
-        rho_sigma = sigma_form_residual(data.sigma, data.v)
         ok_pvi = rho_pvi.is_zero
-        ok_sigma = rho_sigma.is_zero
         all_zero = all_zero and ok_pvi and ok_sigma
         branch_docs.append(
             {
@@ -278,8 +288,8 @@ def cmd_euler(args) -> int:
     if args.samples < 1:
         sys.stderr.write(f"error: --samples must be at least 1, got {args.samples}\n")
         return EXIT_USAGE
-    t0 = Fraction(args.t0)
-    t_end = Fraction(args.t_end)
+    t0 = _parse_time(args.t0, "--t0")
+    t_end = _parse_time(args.t_end, "--t-end")
     family = TauFamily(cfg.params, cfg.weights)
     try:
         state = init_from_tau(family, t0)

@@ -28,9 +28,11 @@ form sorts monomials in descending graded-lex order, which makes serialized
 output deterministic.
 
 A ``RatFunc`` is a reduced fraction of two polynomials from the same ring.
-Reduction divides out the full multivariate gcd (computed with a primitive
-subresultant remainder sequence) and then scales so the denominator's leading
-coefficient is 1.  Equality of reduced forms is therefore structural equality.
+Reduction divides out the full multivariate gcd and then scales so the
+denominator's leading coefficient is 1.  Equality of reduced forms is
+therefore structural equality.  The gcd is computed by the heuristic
+integer-evaluation algorithm GCDHEU, whose answer exact division proves;
+when it gives up, a primitive subresultant remainder sequence takes over.
 
 Determinants of polynomial matrices use Bareiss fraction-free elimination (all
 intermediate divisions are exact), with a cheap singleton-row/column expansion
@@ -41,8 +43,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
+from math import isqrt
 from operator import add as _add
+from operator import neg as _neg
+from operator import sub as _sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -137,6 +143,11 @@ class PolyRing:
 
 def _grlex_key(exp: tuple) -> tuple:
     return (sum(exp), exp)
+
+
+def _heap_key(exp: tuple) -> tuple:
+    """Min-heap entry that pops ``exp`` in descending graded-lex order."""
+    return (-sum(exp), tuple(map(_neg, exp)), exp)
 
 
 class MultiPoly:
@@ -406,21 +417,33 @@ class MultiPoly:
         dexp = max(d.terms, key=_grlex_key)
         dc = d.terms[dexp]
         rem = dict(self.terms)
+        # Pending remainder monomials, popped in descending graded-lex order
+        # (Monagan & Pearce).  A monomial is pushed when it enters ``rem``;
+        # an entry whose monomial has since cancelled is skipped on pop.
+        heap = [_heap_key(exp) for exp in rem]
+        heapify(heap)
         q: dict = {}
-        while rem:
-            rexp = max(rem, key=_grlex_key)
-            qexp = tuple(a - b for a, b in zip(rexp, dexp))
-            qc, r = divmod(rem[rexp], dc)
-            if r or any(e < 0 for e in qexp):
-                raise InexactDivision(f"({self}) not divisible by ({d})")
+        while heap:
+            rexp = heappop(heap)[2]
+            rc = rem.get(rexp)
+            if rc is None:
+                continue
+            qexp = tuple(map(_sub, rexp, dexp))
+            qc, r = divmod(rc, dc)
+            if r or min(qexp, default=0) < 0:
+                # No polynomial text: failed trial divisions are routine in
+                # the heuristic gcd, on coefficients of many thousand digits.
+                raise InexactDivision(f"remainder term at exponent {rexp}")
             q[qexp] = qc
             for exp, c in d.terms.items():
                 key = tuple(map(_add, qexp, exp))
                 s = rem.get(key, 0) - qc * c
                 if s:
+                    if key not in rem:
+                        heappush(heap, _heap_key(key))
                     rem[key] = s
                 else:
-                    rem.pop(key, None)
+                    del rem[key]
         return _raw_poly(self.ring, self.content / d.content, q)
 
     # -- serialization ------------------------------------------------------
@@ -496,7 +519,7 @@ def _from_ints(ring: PolyRing, content: Fraction, ints: dict) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd (subresultant remainder sequence)
+# multivariate gcd
 # ---------------------------------------------------------------------------
 
 
@@ -565,99 +588,11 @@ def _pseudo_rem(a: MultiPoly, b: MultiPoly, i: int) -> MultiPoly:
     return r
 
 
-# -- gcd degree bounds from integer evaluation --------------------------------
-#
-# Substituting integers for all symbols but one maps a polynomial divisor to
-# a univariate divisor, so as long as the evaluation keeps the leading
-# coefficient alive, deg gcd(a, b) in that symbol is at most the degree of
-# the univariate integer gcd of the images.  A bound of zero everywhere
-# proves the gcd is a constant and skips the remainder sequence outright.
-# The images are taken of the integer parts, which the content cannot move.
-
-_EVAL_POINTS = (
-    (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67),
-    (13, 31, 5, 23, 53, 3, 41, 11, 67, 17, 59, 7, 29, 61, 19, 43, 37, 47),
-    (29, 7, 43, 3, 31, 37, 61, 53, 11, 47, 5, 67, 17, 23, 41, 13, 59, 19),
-)
-
-
-def _eval_except(p: MultiPoly, main: int, pts: tuple) -> dict:
-    """Univariate image {degree in main: int} of the integer part of p at
-    xj = pts[j] for j != main."""
-    out: dict = {}
-    cache: dict = {}
-    for exp, c in p.terms.items():
-        v = c
-        for j, e in enumerate(exp):
-            if j == main or e == 0:
-                continue
-            pw = cache.get((j, e))
-            if pw is None:
-                pw = pts[j] ** e
-                cache[(j, e)] = pw
-            v *= pw
-        d = exp[main]
-        s = out.get(d, 0) + v
-        if s:
-            out[d] = s
-        elif d in out:
-            del out[d]
-    return out
-
-
-def _uni_gcd_degree(u: dict, v: dict) -> int:
-    """Degree of gcd of two nonzero univariate integer polynomials."""
-    while v:
-        du, dv = max(u), max(v)
-        if du < dv:
-            u, v = v, u
-            continue
-        lcv = v[dv]
-        r = dict(u)
-        while r and max(r) >= dv:
-            dr = max(r)
-            lcr = r[dr]
-            new = {d: lcv * c for d, c in r.items()}
-            for d, c in v.items():
-                k = d + dr - dv
-                s = new.get(k, 0) - lcr * c
-                if s:
-                    new[k] = s
-                elif k in new:
-                    del new[k]
-            r = new
-        if r:
-            g = 0
-            for c in r.values():
-                g = _int_gcd(g, c)
-            r = {d: c // g for d, c in r.items()}
-        u, v = v, r
-    return max(u)
-
-
-def _gcd_var_bounds(a: MultiPoly, b: MultiPoly, dva: list, dvb: list) -> list:
-    """Per-symbol upper bounds for the gcd degree (None where unproven)."""
-    bounds = []
-    for i in range(len(dva)):
-        if min(dva[i], dvb[i]) == 0:
-            bounds.append(0)
-            continue
-        bound = None
-        for pts in _EVAL_POINTS:
-            ia = _eval_except(a, i, pts)
-            ib = _eval_except(b, i, pts)
-            if ia and ib and max(ia) == dva[i] and max(ib) == dvb[i]:
-                bound = _uni_gcd_degree(ia, ib)
-                break
-        bounds.append(bound)
-    return bounds
-
-
 def _content_in(p: MultiPoly, i: int) -> MultiPoly:
     coeffs = list(_coeffs_in(p, i).values())
     g = coeffs[0]
     for c in coeffs[1:]:
-        g = _gcd_rec(g, c)
+        g = _gcd(g, c)
         if g.is_constant:
             break
     return g
@@ -689,11 +624,8 @@ def _monomial_quot(p: MultiPoly, m: tuple) -> MultiPoly:
 
 
 def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Subresultant gcd of two nonzero polynomials, up to a rational factor."""
     ring = a.ring
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
     if a.is_constant or b.is_constant:
         return ring.const(_frac_gcd(a.content, b.content))
     # Split off the common monomial part first: after division neither
@@ -707,27 +639,18 @@ def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     nv = ring.nvars
     dva = [_degree_idx(a, i) for i in range(nv)]
     dvb = [_degree_idx(b, i) for i in range(nv)]
-    bounds = _gcd_var_bounds(a, b, dva, dvb)
-    if all(x == 0 for x in bounds):
-        return ring.const(_frac_gcd(a.content, b.content))
-    # Main symbol: smallest positive degree (shortest remainder sequence)
-    # among symbols the gcd can actually contain.
-    main, best = -1, -1
-    for i in range(nv):
-        if bounds[i] == 0:
-            continue
-        d = max(dva[i], dvb[i])
-        if d > 0 and (best < 0 or d < best):
-            main, best = i, d
-    if main < 0:  # unreachable given the all-zero check, but keep safe
-        return ring.const(_frac_gcd(a.content, b.content))
+    # Main symbol: smallest positive degree (shortest remainder sequence).
+    main = min(
+        (i for i in range(nv) if max(dva[i], dvb[i]) > 0),
+        key=lambda i: max(dva[i], dvb[i]),
+    )
     if dva[main] == 0:
-        return _gcd_rec(a, _content_in(b, main))
+        return _gcd(a, _content_in(b, main))
     if dvb[main] == 0:
-        return _gcd_rec(_content_in(a, main), b)
+        return _gcd(_content_in(a, main), b)
     ca = _content_in(a, main)
     cb = _content_in(b, main)
-    cg = _gcd_rec(ca, cb)
+    cg = _gcd(ca, cb)
     g = a.divexact(ca)
     h = b.divexact(cb)
     if _degree_idx(g, main) < _degree_idx(h, main):
@@ -758,13 +681,141 @@ def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return cg * _primitive_in(h, main)
 
 
+# -- heuristic gcd (GCDHEU) ------------------------------------------------------
+#
+# Char, Geddes & Gonnet, J. Symbolic Comput. 7 (1989).  Evaluating the first
+# symbol x at an integer xi maps gcd(a, b) to a divisor of gcd(a(xi), b(xi)),
+# which the recursion over the remaining symbols y computes exactly, down to
+# an integer gcd.  A candidate c is rebuilt from it by balanced xi-adic
+# expansion: the gcd itself, or a cofactor a(xi)/gcd whose quotient into a is
+# the gcd (a large gcd has small cofactors).  If c divides both operands
+# exactly, it is the gcd.  Write the gcd as c*q; then q(xi) is a constant,
+# +-1 or a divisor of a balanced digit.  Let xi be at least twice a root
+# bound of one operand's leading coefficient in y, a polynomial in x.  Then q
+# is free of y, or its own leading coefficient in y, which divides that one,
+# would vanish at xi; and a q in x alone divides that coefficient, so
+# |q(xi)| > xi/2 unless q = +-1.  xi starts at that bound or a little above
+# Liao & Fateman's refinement of the CGG choice, about the square root of the
+# smaller coefficient norm, whichever is larger, and grows after a failed
+# candidate.  After _HEU_RETRIES retries, counted over the whole recursion,
+# the heuristic gives up: the subresultant sequence is faster on gcds that
+# need many.
+
+_HEU_RETRIES = 2
+
+
+def _eval_at(p: MultiPoly, i: int, xi: int) -> MultiPoly:
+    """The integer polynomial p with symbol i set to xi (degree 0 in i)."""
+    out: dict = {}
+    powers: dict = {}
+    for exp, c in p.terms.items():
+        e = exp[i]
+        if e:
+            pw = powers.get(e)
+            if pw is None:
+                pw = powers[e] = xi**e
+            c *= pw
+            exp = exp[:i] + (0,) + exp[i + 1 :]
+        s = out.get(exp, 0) + c
+        if s:
+            out[exp] = s
+        else:
+            del out[exp]
+    return _from_ints(p.ring, p.content, out)
+
+
+def _interpolate(g: MultiPoly, i: int, xi: int) -> MultiPoly:
+    """The balanced xi-adic expansion of g in symbol i, up to a constant."""
+    half = xi // 2
+    k = g.content.numerator
+    out: dict = {}
+    for exp, c in g.terms.items():
+        c *= k
+        e = 0
+        while c:
+            c, digit = divmod(c, xi)
+            if digit > half:
+                digit -= xi
+                c += 1
+            if digit:
+                out[exp[:i] + (e,) + exp[i + 1 :]] = digit
+            e += 1
+    return _from_ints(g.ring, _ONE, out)
+
+
+def _root_bound(p: MultiPoly, i: int) -> int:
+    """An integer above every root of the leading coefficient of p as a
+    polynomial in the symbols after i (lex order) with coefficients in Z[x_i];
+    the symbols before i must be absent.  Cauchy's bound."""
+    lead = max(e[i + 1 :] for e in p.terms)
+    lc = {e[i]: c for e, c in p.terms.items() if e[i + 1 :] == lead}
+    return 2 + max(map(abs, lc.values())) // abs(lc[max(lc)])
+
+
+def _quo(p: MultiPoly, d: MultiPoly):
+    """p / d, or None if d does not divide p."""
+    try:
+        return p.divexact(d)
+    except InexactDivision:
+        return None
+
+
+def _heu_gcd(a: MultiPoly, b: MultiPoly, retries: list):
+    """gcd of two nonzero polynomials with integer contents, up to sign, or
+    None when the retries left in ``retries[0]`` run out."""
+    ring = a.ring
+    k = Fraction(_int_gcd(a.content.numerator, b.content.numerator))
+    if a.is_constant or b.is_constant:
+        return ring.const(k)
+    i = [any(col) for col in zip(*a.terms, *b.terms)].index(True)
+    a, b = _raw_poly(ring, _ONE, a.terms), _raw_poly(ring, _ONE, b.terms)
+    norm = min(max(map(abs, a.terms.values())), max(map(abs, b.terms.values())))
+    B = 2 * norm + 29
+    xi = max(
+        min(B, 99 * isqrt(B) << B.bit_length() // 32),
+        2 * min(_root_bound(a, i), _root_bound(b, i)),
+    )
+    while True:
+        ea, eb = _eval_at(a, i, xi), _eval_at(b, i, xi)
+        # xi exceeds the root bound of only one operand, so the other may
+        # vanish there; that xi is then skipped.
+        if not ea.is_zero and not eb.is_zero:
+            g = _heu_gcd(ea, eb, retries)
+            if g is None:
+                return None
+            h = _interpolate(g, i, xi)
+            if _quo(a, h) is not None and _quo(b, h) is not None:
+                return _raw_poly(ring, k, h.terms)
+            for p, ep, other in ((a, ea, b), (b, eb, a)):
+                h = _quo(p, _interpolate(ep.divexact(g), i, xi))
+                if h is not None and _quo(other, h) is not None:
+                    return _raw_poly(ring, k, h.terms)
+        if not retries[0]:
+            return None
+        retries[0] -= 1
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+
+
+def _gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """gcd up to a rational factor: the heuristic on the integer parts, or
+    the subresultant sequence when the heuristic gives up."""
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    g = _heu_gcd(
+        _raw_poly(a.ring, _ONE, a.terms), _raw_poly(b.ring, _ONE, b.terms), [_HEU_RETRIES]
+    )
+    return _gcd_rec(a, b) if g is None else g
+
+
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Multivariate gcd, normalized to leading (graded-lex) coefficient 1."""
     if a.ring != b.ring:
         raise SymbolMismatch("gcd operands must share a ring")
     if a.is_zero and b.is_zero:
         return a.ring.zero()
-    g = _gcd_rec(a, b)
+    g = _gcd(a, b)
     _, lc = g.leading()
     if lc != 1:
         g = g * (1 / lc)

@@ -165,6 +165,23 @@ def test_solve_residual_failure_exits_one(capsys, monkeypatch):
     assert json.loads(out)["branches"][0]["pvi_residual_zero"] is False
 
 
+def test_solve_sigma_residual_failure_marks_every_branch(capsys, monkeypatch):
+    import tauvi.cli as climod
+    from tauvi.exactalg import RatFunc
+
+    monkeypatch.setattr(
+        climod, "sigma_form_residual", lambda sigma, v: RatFunc(sigma.ring.one())
+    )
+    code, out, _ = run(
+        capsys, "solve", ARG_MU, ARG_NU,
+        "--weights=seed:3", "--branch=id,flip13",
+    )
+    assert code == EXIT_VERIFY
+    branches = json.loads(out)["branches"]
+    assert len(branches) == 2
+    assert all(b["sigma_residual_zero"] is False for b in branches)
+
+
 def test_solve_fully_degenerate_family(capsys):
     code, out, _ = run(
         capsys, "solve", "--mu=-1,-1,0", "--nu=-1,-1,0", "--weights=seed:1"
@@ -297,6 +314,15 @@ def test_euler_t0_at_fixed_singularity_exits_usage(capsys, t0):
     assert code == EXIT_USAGE
     assert out == ""
     assert "fixed singularities" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--t0=1/0", "--t-end=1/0"])
+def test_euler_zero_denominator_time_exits_usage(capsys, flag):
+    code, out, err = run(capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11", flag)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag.split("=")[0] in err
 
 
 def test_euler_zero_samples_exits_usage(capsys):

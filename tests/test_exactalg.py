@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tauvi import exactalg
 from tauvi.exactalg import (
     DegenerateSpecialization,
     ExactAlgError,
@@ -25,6 +26,8 @@ from tauvi.exactalg import (
     poly_gcd,
     poly_json_text,
 )
+from tauvi.painleve import solve_family
+from tauvi.taudet import WeightMatrix
 
 XY = PolyRing(("x", "y"))
 T = PolyRing(("t",))
@@ -198,6 +201,15 @@ def test_kernel_matches_sympy(a, b, x0, y0):
         q = (a * b).divexact(b)
         _assert_canonical(q)
         assert q == a
+        # eval_float sums in this order, so the quotient keeps it.
+        assert list(q.terms) == sorted(q.terms, key=lambda e: (sum(e), e), reverse=True)
+        _, rem = sympy.div(sympy.Poly(sa, x, y), sympy.Poly(sb, x, y))
+        try:
+            a.divexact(b)
+            divisible = True
+        except InexactDivision:
+            divisible = False
+        assert divisible == rem.is_zero
     want = sa.subs({x: sympy.Rational(str(x0)), y: sympy.Rational(str(y0))})
     assert a.eval_all({"x": x0, "y": y0}) == Fraction(str(want))
 
@@ -275,6 +287,77 @@ def test_gcd_matches_sympy(data):
     x, y = sympy.symbols("x y")
     ratio = sympy.simplify(got / want)
     assert ratio.is_constant(x, y), f"{got} vs {want}"
+
+
+XYZW = PolyRing(("x", "y", "z", "w"))
+_monos = st.tuples(*[st.integers(0, 2)] * 4)
+_sparse = st.dictionaries(_monos, st.integers(-9, 9), max_size=4)
+
+
+@st.composite
+def _gcd_operands(draw):
+    """Operands sharing a factor g and a monomial, in three or four symbols.
+
+    Covers coprime pairs (g = 1), constant and zero operands, negative
+    leading coefficients, and a g with coefficients up to 10**30.
+    """
+    nvars = draw(st.sampled_from([3, 4]))
+
+    def poly(terms):
+        return MultiPoly(XYZW, {e[:nvars] + (0,) * (4 - nvars): c for e, c in terms.items()})
+
+    g = poly(draw(_sparse)) if draw(st.booleans()) else XYZW.one()
+    if draw(st.booleans()):
+        x, y = XYZW.var("x"), XYZW.var("y")
+        g = g * (x + draw(st.integers(10**6, 10**30)) * y)
+    shared = XYZW.poly({draw(_monos)[:nvars] + (0,) * (4 - nvars): 1})
+    a = g * poly(draw(_sparse)) * shared
+    b = g * poly(draw(_sparse)) * shared
+    return draw(st.sampled_from([a, -a, XYZW.const(-6)])), b
+
+
+def _gcd_fallback(a, b):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "_heu_gcd", lambda *args: None)
+        return poly_gcd(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_gcd_operands())
+def test_gcd_heuristic_fallback_and_sympy_agree(operands):
+    a, b = operands
+    got = poly_gcd(a, b)
+    assert got == _gcd_fallback(a, b)
+    want = sympy.gcd(_to_sympy(a), _to_sympy(b))
+    if want == 0:
+        assert got.is_zero
+    else:
+        assert not sympy.cancel(_to_sympy(got) / want).free_symbols
+        assert got.leading()[1] == 1
+
+
+def test_gcd_heuristic_retries_after_an_unlucky_point():
+    # The first point is xi = 31, where x + 1 and x + 33 take the values 32
+    # and 64: their gcd 32 is no image of the gcd 1, so no candidate divides.
+    x = XYZW.var("x")
+    retries = [exactalg._HEU_RETRIES]
+    g = exactalg._heu_gcd(x + 1, x + 33, retries)
+    assert retries == [exactalg._HEU_RETRIES - 1]
+    assert g == XYZW.one()
+
+
+def test_solve_family_is_independent_of_the_gcd_route(params6, wsym, monkeypatch):
+    runs = [
+        (wsym, ["id"]),
+        (WeightMatrix.random(3), None),
+    ]
+    heuristic = [solve_family(params6, w, branches=br) for w, br in runs]
+    monkeypatch.setattr(exactalg, "_heu_gcd", lambda *args: None)
+    for got, (w, br) in zip(heuristic, runs):
+        want = solve_family(params6, w, branches=br)
+        assert got.sigma == want.sigma
+        assert [d.branch for d in got.branches] == [d.branch for d in want.branches]
+        assert all(d.y == e.y for d, e in zip(got.branches, want.branches))
 
 
 def test_gcd_divides_both_operands():

@@ -347,6 +347,15 @@ def test_sigma_residual_detects_perturbation(params6):
     assert not sigma_form_residual(shifted, res.branches[0].v).is_zero
 
 
+def test_sigma_residual_is_the_same_on_every_branch(params6):
+    res = solve_family(params6, WeightMatrix.random(3), branches=["id"])
+    branches = distinct_branches(params6)
+    for sigma in (res.sigma, res.sigma + RatFunc(res.sigma.ring.var("t") ** 2)):
+        residuals = [sigma_form_residual(sigma, v_values(params6, b)) for b in branches]
+        assert all(r.num == residuals[0].num for r in residuals)
+        assert residuals[0].is_zero == (sigma is res.sigma)
+
+
 def test_linear_sigma_satisfies_sigma_form():
     # sigma = t + 1 with v = (1, -1, 1, -1): both sides reduce to the constant
     # identity (p(2q+p) + e4)^2 = prod(p + vk^2) with p = q = 1.
