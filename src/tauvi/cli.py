@@ -8,7 +8,7 @@ Subcommands
 ``tauvi euler``   integrate the Euler-top flow and report conservation drift
 
 Exit codes: 0 success, 1 a verification failed, 2 invalid input,
-3 every requested branch was degenerate.
+3 every requested branch was degenerate, 130 interrupted (Ctrl-C).
 
 Outputs are deterministic for a fixed command line: rationals are printed as
 ``p/q`` strings, JSON keys are sorted, and the random weight generator is
@@ -49,6 +49,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
+EXIT_INTERRUPTED = 130
 
 
 @dataclass(frozen=True)
@@ -404,6 +405,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PainleveError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DEGENERATE
+    except KeyboardInterrupt:
+        sys.stderr.write("error: interrupted\n")
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -22,9 +22,10 @@ tau0(t) = +-det(T)/t^R2:
     alpha = (v3-v4)^2/2, beta = -(v1+v2)^2/2, gamma = (v1-v2)^2/2,
     delta = (1 - (v3+v4+1)^2)/2.
 
-Residual checks build the cleared numerator over an explicit product
-denominator, so a vanishing residual is detected without any gcd work; the
-returned object is still a reduced :class:`~tauvi.exactalg.RatFunc`.
+Residual checks return the cleared numerator over an explicit product
+denominator, unreduced: the residual vanishes exactly when that
+:class:`~tauvi.exactalg.MultiPoly` does, so no gcd runs, not even when a
+check fails.
 
 The quartic invariants A1..A4 admit three independent evaluations (from
 c5..c10, symmetrically from the v's, and from (alpha..delta) together with
@@ -303,9 +304,10 @@ def okamoto_y(sigma: RatFunc, v: Sequence[Fraction], tname: str = "t") -> RatFun
 
 def sigma_form_residual(
     sigma: RatFunc, v: Sequence[Fraction], tname: str = "t"
-) -> RatFunc:
+) -> MultiPoly:
     """sigma'(t(t-1)sigma'')^2 + (sigma'[2 sigma-(2t-1)sigma'] + e4)^2
-    - prod_k(sigma' + v_k^2); identically zero iff sigma solves the form."""
+    - prod_k(sigma' + v_k^2), as its numerator over sq^8 (sq = sigma's
+    denominator); identically zero iff sigma solves the form."""
     v1, v2, v3, v4 = (Fraction(x) for x in v)
     ring = sigma.ring
     t = ring.var(tname)
@@ -319,10 +321,7 @@ def sigma_form_residual(
     term3 = ring.one()
     for vk in (v1, v2, v3, v4):
         term3 = term3 * (sd1 + vk * vk * sq2)
-    num = term1 + term2 - term3
-    if num.is_zero:
-        return RatFunc(ring.zero())
-    return RatFunc(num, sq2**4)
+    return term1 + term2 - term3
 
 
 def pvi_residual(
@@ -332,12 +331,12 @@ def pvi_residual(
     gamma: Fraction,
     delta: Fraction,
     tname: str = "t",
-) -> RatFunc:
-    """Difference of the two sides of Painleve VI, cleared and reduced.
+) -> MultiPoly:
+    """Difference of the two sides of Painleve VI, as its numerator over
+    2 t^2 (t-1)^2 Q^3 U V W (with y = P/Q, U = P, V = P - Q, W = P - t*Q).
 
-    The numerator is assembled over an explicit multiple of the denominator
-    2 t^2 (t-1)^2 Q^3 U^2 V^2 W^2 (with U = y_num, V = y_num - y_den,
-    W = y_num - t*y_den), so the all-important zero test needs no gcd.
+    U, V and W are checked to be nonzero, so the residual vanishes exactly
+    when the returned numerator does.
     """
     alpha, beta, gamma, delta = (
         Fraction(x) for x in (alpha, beta, gamma, delta)
@@ -358,26 +357,20 @@ def pvi_residual(
     N1 = dP * Q - P * dQ
     N2 = N1.derivative(tname) * Q - 2 * dQ * N1
     tt1 = t * (t - 1)
-    tt1sq = tt1 * tt1
     UV, UW, VW = U * V, U * W, V * W
     UVW = UV * W
-    sumpairs = UV + UW + VW
-    u2v2w2 = UVW * UVW
-    Q2 = Q * Q
-    num = (
-        2 * tt1sq * u2v2w2 * N2
-        - tt1sq * (N1 * N1) * sumpairs * UVW
-        + 2 * N1 * Q * tt1 * (UV * UV) * W * ((2 * t - 1) * W + tt1 * Q)
+    return tt1 * (
+        tt1 * (2 * UVW * N2 - (N1 * N1) * (UV + UW + VW))
+        + 2 * N1 * Q * UV * ((2 * t - 1) * W + tt1 * Q)
     ) - 2 * (
-        alpha * (UVW * u2v2w2)
-        + beta * ((t * Q2) * (U * (VW * VW * VW)))
-        + gamma * (((t - 1) * Q2) * (V * (UW * UW * UW)))
-        + delta * ((tt1 * Q2) * (W * (UV * UV * UV)))
+        alpha * (UVW * UVW)
+        + (Q * Q)
+        * (
+            beta * (t * (VW * VW))
+            + gamma * ((t - 1) * (UW * UW))
+            + delta * (tt1 * (UV * UV))
+        )
     )
-    if num.is_zero:
-        return RatFunc(ring.zero())
-    den = 2 * tt1sq * Q * Q2 * u2v2w2
-    return RatFunc(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from tauvi.cli import (
     EXIT_DEGENERATE,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
@@ -38,6 +39,20 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "tauvi" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["tau", "solve"])
+def test_interrupt_exits_130_with_one_line(capsys, monkeypatch, command):
+    import tauvi.cli as climod
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(climod, f"cmd_{command}", interrupted)
+    code, out, err = run(capsys, command, ARG_MU, ARG_NU, "--weights=seed:3")
+    assert code == EXIT_INTERRUPTED == 130
+    assert out == ""
+    assert err == "error: interrupted\n"
 
 
 def test_bad_weight_spec(capsys):
@@ -151,10 +166,9 @@ def test_solve_three_branches_verified(capsys):
 
 def test_solve_residual_failure_exits_one(capsys, monkeypatch):
     import tauvi.cli as climod
-    from tauvi.exactalg import RatFunc
 
     def broken(y, *rest):
-        return RatFunc(y.ring.one())
+        return y.ring.one()
 
     monkeypatch.setattr(climod, "pvi_residual", broken)
     code, out, _ = run(
@@ -167,10 +181,9 @@ def test_solve_residual_failure_exits_one(capsys, monkeypatch):
 
 def test_solve_sigma_residual_failure_marks_every_branch(capsys, monkeypatch):
     import tauvi.cli as climod
-    from tauvi.exactalg import RatFunc
 
     monkeypatch.setattr(
-        climod, "sigma_form_residual", lambda sigma, v: RatFunc(sigma.ring.one())
+        climod, "sigma_form_residual", lambda sigma, v: sigma.ring.one()
     )
     code, out, _ = run(
         capsys, "solve", ARG_MU, ARG_NU,

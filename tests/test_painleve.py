@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tauvi.exactalg import PolyRing, RatFunc, ZeroDenominator
@@ -352,8 +352,85 @@ def test_sigma_residual_is_the_same_on_every_branch(params6):
     branches = distinct_branches(params6)
     for sigma in (res.sigma, res.sigma + RatFunc(res.sigma.ring.var("t") ** 2)):
         residuals = [sigma_form_residual(sigma, v_values(params6, b)) for b in branches]
-        assert all(r.num == residuals[0].num for r in residuals)
+        assert all(r == residuals[0] for r in residuals)
         assert residuals[0].is_zero == (sigma is res.sigma)
+
+
+def _u2v2w2_numerator(y, alpha, beta, gamma, delta):
+    """Reference for ``pvi_residual``: the PVI residual's numerator over
+    2 t^2 (t-1)^2 Q^3 U^2 V^2 W^2, one term per term of the equation, and
+    the factor U V W by which it exceeds the numerator over 2 t^2 (t-1)^2
+    Q^3 U V W."""
+    t = y.ring.var("t")
+    P, Q = y.num, y.den
+    U, V, W = P, P - Q, P - t * Q
+    dP, dQ = P.derivative("t"), Q.derivative("t")
+    N1 = dP * Q - P * dQ
+    N2 = N1.derivative("t") * Q - 2 * dQ * N1
+    tt1 = t * (t - 1)
+    UVW = U * V * W
+    num = (
+        2 * tt1**2 * UVW**2 * N2
+        - tt1**2 * N1**2 * (U * V + U * W + V * W) * UVW
+        + 2 * N1 * Q * tt1 * (U * V) ** 2 * W * ((2 * t - 1) * W + tt1 * Q)
+        - 2 * alpha * UVW**3
+        - 2 * beta * t * Q**2 * U * (V * W) ** 3
+        - 2 * gamma * (t - 1) * Q**2 * V * (U * W) ** 3
+        - 2 * delta * tt1 * Q**2 * W * (U * V) ** 3
+    )
+    return num, UVW
+
+
+def test_pvi_numerator_matches_the_u2v2w2_form():
+    families = (
+        (normalize_params((-4, -2, 0), (-3, -2, -1)), 3),
+        (normalize_params((-3, -1, 0), (-2, -1, -1)), 5),
+    )
+    for params, seed in families:
+        res = solve_family(params, WeightMatrix.random(seed))
+        assert len(res.branches) >= 14
+        t = res.sigma.ring.var("t")
+        perturbed = res.branches[0].y + RatFunc(t**2, t.ring.const(7))
+        cases = [(d.y, pvi_params(d.v), True) for d in res.branches]
+        cases.append((perturbed, pvi_params(res.branches[0].v), False))
+        for y, pvi, solves in cases:
+            old, uvw = _u2v2w2_numerator(y, *pvi)
+            new = pvi_residual(y, *pvi)
+            assert old == new * uvw
+            assert new.is_zero == solves
+
+
+_ty_ring = PolyRing(("t", "w"))
+_ty_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)), fractions_st, max_size=5
+).map(_ty_ring.poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ty_polys, _ty_polys, st.tuples(*[fractions_st] * 4))
+def test_pvi_numerator_matches_the_u2v2w2_form_on_random_y(p, q, pvi):
+    t = _ty_ring.var("t")
+    assume(not q.is_zero)
+    y = RatFunc(p, q)
+    assume(not any(x.is_zero for x in (y.num, y.num - y.den, y.num - t * y.den)))
+    old, uvw = _u2v2w2_numerator(y, *pvi)
+    assert old == pvi_residual(y, *pvi) * uvw
+
+
+def test_failed_residuals_on_symbolic_weights_run_no_gcd(golden, monkeypatch):
+    import tauvi.exactalg as exactalg
+
+    data = {b.branch: b for b in golden.branches}["0123++++"]
+    t = golden.sigma.ring.var("t")
+    y = data.y + RatFunc(t**2, t.ring.const(7))
+    sigma = golden.sigma + RatFunc(t**2)
+
+    def no_gcd(a, b):
+        raise AssertionError("a residual check ran poly_gcd")
+
+    monkeypatch.setattr(exactalg, "poly_gcd", no_gcd)
+    assert not pvi_residual(y, data.alpha, data.beta, data.gamma, data.delta).is_zero
+    assert not sigma_form_residual(sigma, data.v).is_zero
 
 
 def test_linear_sigma_satisfies_sigma_form():
