@@ -214,7 +214,7 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     from .exactalg import PolyRing
-    from .fockoracle import tau_oracle
+    from .fockoracle import build_G_vacuum, tau_from_G
     from .schur import TimeVector
     from .taudet import WEIGHT_SYMBOLS, tau_from_A, tau_from_E
 
@@ -236,6 +236,7 @@ def cmd_oracle(args) -> int:
     ring = PolyRing(WEIGHT_SYMBOLS + time_symbols(order))
     u = TimeVector.symbolic(ring, order)
     m1, m2, m3 = params.m
+    G = build_G_vacuum(params, cfg.weights, u, ring)
     rows = []
     all_agree = True
     configured = {}
@@ -245,7 +246,7 @@ def cmd_oracle(args) -> int:
             if not -m1 <= n3 <= -m3:
                 continue
             nu = (n1, n2, n3)
-            t_o = tau_oracle(params, cfg.weights, u, ring, nu=nu)
+            t_o = tau_from_G(G, nu, ring)
             t_e = tau_from_E(params, cfg.weights, u, ring, nu=nu)
             t_a = tau_from_A(params, cfg.weights, u, ring, nu=nu)
             agree = t_o == t_e and t_o == t_a

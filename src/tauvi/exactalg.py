@@ -56,6 +56,47 @@ Scalar = Union[int, Fraction]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Decimal text of ints at most this long converts with str()/int() under any
+# interpreter digit limit (CPython rejects limits below 640 digits); longer
+# ones are split into such pieces, so serialization is exact at any size
+# without touching the process-wide sys.set_int_max_str_digits.
+_SAFE_DIGITS = 600
+_SAFE_BITS = 1990  # 2**1990 < 10**600
+
+
+def _int_text(n: int) -> str:
+    """Decimal text of an int of any size."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n.bit_length() <= _SAFE_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digit count
+    hi, lo = divmod(n, 10**k)
+    return _int_text(hi) + _int_text(lo).zfill(k)
+
+
+def _text_int(text: str) -> int:
+    """Inverse of ``_int_text``."""
+    if len(text) <= _SAFE_DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -_text_int(text[1:])
+    k = len(text) // 2
+    return _text_int(text[:-k]) * 10**k + _text_int(text[-k:])
+
+
+def _fraction_text(c: Fraction) -> str:
+    """``str(c)`` of a Fraction of any size: ``p`` or ``p/q``."""
+    if c.denominator == 1:
+        return _int_text(c.numerator)
+    return f"{_int_text(c.numerator)}/{_int_text(c.denominator)}"
+
+
+def _text_fraction(text: str) -> Fraction:
+    """Inverse of ``_fraction_text``."""
+    num, slash, den = text.partition("/")
+    return Fraction(_text_int(num), _text_int(den) if slash else 1)
+
 
 class ExactAlgError(Exception):
     """Base error for this module."""
@@ -468,11 +509,11 @@ class MultiPoly:
                 if e
             )
             if not mono:
-                body = str(abs(c))
+                body = _fraction_text(abs(c))
             elif abs(c) == 1:
                 body = mono
             else:
-                body = f"{abs(c)}*{mono}"
+                body = f"{_fraction_text(abs(c))}*{mono}"
             parts.append(("-" if c < 0 else "+", body))
         sign, body = parts[0]
         out = ("-" if sign == "-" else "") + body
@@ -488,13 +529,15 @@ class MultiPoly:
     def to_json(self) -> dict:
         return {
             "symbols": list(self.ring.symbols),
-            "terms": [[list(exp), str(c)] for exp, c in self.sorted_terms()],
+            "terms": [
+                [list(exp), _fraction_text(c)] for exp, c in self.sorted_terms()
+            ],
         }
 
     @classmethod
     def from_json(cls, data: Mapping) -> "MultiPoly":
         ring = PolyRing(data["symbols"])
-        return cls(ring, {tuple(exp): Fraction(c) for exp, c in data["terms"]})
+        return cls(ring, {tuple(exp): _text_fraction(c) for exp, c in data["terms"]})
 
 
 def _raw_poly(ring: PolyRing, content: Fraction, terms: dict) -> MultiPoly:

@@ -33,21 +33,30 @@ and then Q_i|0> = psi_plus(i, -1)|0> (resp. psi_minus for the inverse) lands
 at the end of the op list.  Evaluating the op list on |0> yields the signed
 wedge.
 
-The oracle itself builds the state
+The oracle
+----------
+The Grassmannian point G is the string of un-hatted phi factors
 
-    phihat^(3)_{m3+1/2} ... phihat^(3)_{m1-1/2}
-        phihat^(2)_{m2+1/2} ... phihat^(2)_{m1-1/2} |{-m1-nu_a}>
+    G|0> = phi^(3)_{m3+1/2} ... phi^(3)_{m1-1/2}
+               phi^(2)_{m2+1/2} ... phi^(2)_{m1-1/2} |-m1,-m1,-m1>
 
-(rightmost factor applied first) where
+(rightmost factor applied first), where
 
-    phihat^(b)_l (nu; u) = sum_a sum_{j=l+nu_a}^{m1+nu_a-1/2}
-        f_a^(b)(nu) * psi_plus(a, j) * S_{j-l-nu_a}(u^(a)),
-    f_a^(b)(nu) = (-1)^(nu_1+nu_2+nu_3+nu_a) * w_a^(b),
+    phi^(b)_l (u) = sum_a sum_{j=l}^{m1-1/2} w_a^(b) * psi_plus(a, j) * S_{j-l}(u^(a)).
 
-and the tau function is the coefficient of |0> times the same sign that
-relates det(E) to tau.  The upper cutoff on j is exact: the strings only ever
-create particles above each component's shifted sea, never holes, so higher
-psi_plus terms annihilate every reachable state.
+The upper cutoff on j is exact: the strings only ever create particles above
+each component's shifted sea, never holes, so higher psi_plus terms
+annihilate every reachable state.  G|0> mixes charge sectors, and each
+sector's tau function is a vacuum expectation value (Kac & van de Leur, "The
+n-component KP hierarchy and representation theory", J. Math. Phys. 44,
+2003):
+
+    tau_nu = <nu|G|0>,    |nu> = Q1^nu_1 Q2^nu_2 Q3^nu_3 |0>,
+
+the coefficient of the charged vacuum's wedge in G|0> times the sign that
+``charged_vacuum`` reports for it.  One expansion of G|0> therefore serves
+every charge vector nu; those off the support, or of the wrong total charge,
+have no wedge in it and read zero.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ from typing import Dict, Sequence, Tuple
 
 from .exactalg import MultiPoly, PolyRing
 from .schur import TimeVector, elementary_schur
-from .taudet import ScalingParams, WeightMatrix, sign_E, _sign_pow
+from .taudet import ScalingParams, WeightMatrix, _sign_pow
 
 
 @dataclass(frozen=True)
@@ -167,7 +176,7 @@ def apply_psi(vec: Dict, kind: str, a: int, kk: int) -> Dict:
         if res is None:
             continue
         phase, new = res
-        val = coeff * phase
+        val = -coeff if phase < 0 else coeff
         if new in out:
             val = out[new] + val
         _store(out, new, val)
@@ -252,34 +261,31 @@ def apply_phi(
     b: int,
     ell2: int,
     m1: int,
-    nu: Sequence[int],
     weights: WeightMatrix,
     u: TimeVector,
     ring: PolyRing,
 ) -> Dict:
-    """One hatted phi^{+(b)} factor at doubled level ell2 (odd)."""
+    """One phi^{+(b)} factor at doubled level ell2 (odd)."""
     assert ell2 % 2, "phi labels are half-integers"
-    nu_parity = sum(nu)
     out: Dict = {}
     for a in (1, 2, 3):
-        na = nu[a - 1]
-        fa = weights.entry(a, b, ring) * _sign_pow(nu_parity + na)
-        for jj in range(ell2 + 2 * na, 2 * m1 + 2 * na, 2):
-            n = (jj - ell2) // 2 - na
-            s = elementary_schur(n, u.component(a))
+        wa = weights.entry(a, b, ring)
+        for jj in range(ell2, 2 * m1, 2):
+            s = elementary_schur((jj - ell2) // 2, u.component(a))
             if isinstance(s, MultiPoly):
                 if s.is_zero:
                     continue
             elif s == 0:
                 continue
-            factor = fa * s
+            factor = wa * s
+            neg_factor = -factor
             slot = psi_plus_slot(a, jj)
             for state, coeff in vec.items():
                 res = _occupy(state, slot)
                 if res is None:
                     continue
                 phase, new = res
-                val = coeff * factor * phase
+                val = coeff * (factor if phase > 0 else neg_factor)
                 if new in out:
                     val = out[new] + val
                 _store(out, new, val)
@@ -292,15 +298,23 @@ def build_G_vacuum(
     u: TimeVector,
     ring: PolyRing,
 ) -> Dict:
-    """The state G|0>: un-hatted phi strings on the (-m1,-m1,-m1) vacuum."""
+    """The state G|0>: phi strings on the (-m1,-m1,-m1) vacuum."""
     m1, m2, m3 = params.m
     sign0, base = charged_vacuum(-m1, -m1, -m1)
     vec: Dict = {base: ring.const(sign0)}
-    zero_nu = (0, 0, 0)
     for b, mb in ((2, m2), (3, m3)):
         for ell2 in range(2 * m1 - 1, 2 * mb - 1, -2):
-            vec = apply_phi(vec, b, ell2, m1, zero_nu, weights, u, ring)
+            vec = apply_phi(vec, b, ell2, m1, weights, u, ring)
     return vec
+
+
+def tau_from_G(G: Dict, nu: Sequence[int], ring: PolyRing) -> MultiPoly:
+    """tau_nu = <nu|G|0>: the signed coefficient of Q^nu|0> in the state G."""
+    sign, state = charged_vacuum(*nu)
+    coeff = G.get(state)
+    if coeff is None:
+        return ring.zero()
+    return -coeff if sign < 0 else coeff
 
 
 def tau_oracle(
@@ -310,20 +324,12 @@ def tau_oracle(
     ring: PolyRing,
     nu: Sequence[int] = None,
 ) -> MultiPoly:
-    """Vacuum coefficient of the hatted-phi string: the tau function itself.
+    """<nu|G|0>, the tau function of charge sector nu (default: params.nu).
 
     Fully mechanical -- no support or charge shortcut.  Off-support charge
-    vectors come out as the zero polynomial because the strings cannot reach
-    |0> from the shifted vacuum.
+    vectors come out as the zero polynomial because G|0> has no component
+    along their charged vacuum.  Callers reading several sectors expand
+    ``build_G_vacuum`` once and call ``tau_from_G`` per sector.
     """
-    m1, m2, m3 = params.m
     nu = tuple(params.nu if nu is None else nu)
-    sign0, base = charged_vacuum(-m1 - nu[0], -m1 - nu[1], -m1 - nu[2])
-    vec: Dict = {base: ring.const(sign0)}
-    for b, mb in ((2, m2), (3, m3)):
-        for ell2 in range(2 * m1 - 1, 2 * mb - 1, -2):
-            vec = apply_phi(vec, b, ell2, m1, nu, weights, u, ring)
-            if not vec:
-                return ring.zero()
-    coeff = vec.get(WedgeState.vacuum(), ring.zero())
-    return coeff * sign_E(m1, nu)
+    return tau_from_G(build_G_vacuum(params, weights, u, ring), nu, ring)

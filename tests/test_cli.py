@@ -280,6 +280,27 @@ def test_oracle_negative_control(capsys, monkeypatch):
     assert json.loads(out)["agree"] is False
 
 
+def test_oracle_expands_G_once_per_call(capsys, monkeypatch):
+    import tauvi.fockoracle as fock_mod
+
+    calls = []
+    orig = fock_mod.build_G_vacuum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].m)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(fock_mod, "build_G_vacuum", counted)
+    code, out, _ = run(
+        capsys, "oracle", "--mu=-3,-1,0", "--nu=-2,-1,-1", "--order=1"
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["agree"] is True
+    assert doc["cases"] > 1
+    assert calls == [(3, 1, 0)]
+
+
 # ---------------------------------------------------------------------------
 # euler
 # ---------------------------------------------------------------------------

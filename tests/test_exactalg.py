@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -512,6 +513,28 @@ def test_json_round_trip_ratfunc():
     r = RatFunc(t**2 - Fraction(1, 3), t + 5)
     back = RatFunc.from_json(json.loads(poly_json_text(r)))
     assert back == r
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this interpreter has no int/str digit limit",
+)
+def test_text_and_json_exact_beyond_int_str_digit_limit():
+    x, y = XY.var("x"), XY.var("y")
+    big = 10**5000 + 7
+    p = XY.const(big) * x - Fraction(3, 2 * big + 1) * y**2 + Fraction(-big, 9)
+    r = RatFunc(x + big, y - 1)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = f"-3/{2 * big + 1}*y^2 + {big}*x - {big}/9"
+        sys.set_int_max_str_digits(640)  # the smallest limit CPython allows
+        assert p.text() == want
+        assert MultiPoly.from_json(json.loads(poly_json_text(p))) == p
+        assert RatFunc.from_json(json.loads(poly_json_text(r))) == r
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_json_text_is_stable():

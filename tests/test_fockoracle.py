@@ -20,14 +20,16 @@ from tauvi.fockoracle import (
     psi_plus_slot,
     q_shift,
     state_energy,
+    tau_from_G,
     tau_oracle,
 )
-from tauvi.schur import TimeVector
+from tauvi.schur import TimeVector, elementary_schur
 from tauvi.taudet import (
     WEIGHT_SYMBOLS,
     WeightMatrix,
     TauFamily,
     normalize_params,
+    sign_E,
     tau_from_A,
     tau_from_E,
     time_symbols,
@@ -132,7 +134,7 @@ def test_q_shift_sign_rule():
 
 
 def test_phi_at_cutoff_level_annihilates():
-    # the hatted phi at level m1 + 1/2 is the zero operator
+    # phi at level m1 + 1/2 is the zero operator
     params = normalize_params((-2, -1, 0), (-1, -1, -1))
     w = WeightMatrix.symbolic()
     ring = _ring(1)
@@ -140,7 +142,7 @@ def test_phi_at_cutoff_level_annihilates():
     m1 = params.m[0]
     _, base = charged_vacuum(-m1, -m1, -m1)
     vec = {base: ring.one()}
-    out = apply_phi(vec, 2, 2 * m1 + 1, m1, params.nu, w, u, ring)
+    out = apply_phi(vec, 2, 2 * m1 + 1, m1, w, u, ring)
     assert out == {}
 
 
@@ -263,3 +265,69 @@ def test_oracle_boundary_point():
     t_o = tau_oracle(params, w, u, ring, nu=nu)
     assert not t_o.is_zero
     assert t_o == tau_from_E(params, w, u, ring, nu=nu)
+
+
+# -- differential test against the per-sector expansion -----------------------
+
+
+def _tau_hatted(params, weights, u, ring, nu):
+    """Reference: one expansion per charge sector nu, read at |0>.
+
+    Hatted phi strings act on the shifted vacuum |-m1-nu_a>,
+
+        phihat^(b)_l (nu; u) = sum_a sum_{j=l+nu_a}^{m1+nu_a-1/2}
+            (-1)^(nu_1+nu_2+nu_3+nu_a) w_a^(b) psi_plus(a, j) S_{j-l-nu_a}(u^(a)),
+
+    and the coefficient of |0> times sign_E(m1, nu) is tau_nu.
+    """
+    m1, m2, m3 = params.m
+    sign0, base = charged_vacuum(*(-m1 - x for x in nu))
+    vec = {base: ring.const(sign0)}
+    for b, mb in ((2, m2), (3, m3)):
+        for ell2 in range(2 * m1 - 1, 2 * mb - 1, -2):
+            out = {}
+            for a in (1, 2, 3):
+                na = nu[a - 1]
+                fa = weights.entry(a, b, ring) * (-1 if (sum(nu) + na) % 2 else 1)
+                for jj in range(ell2 + 2 * na, 2 * m1 + 2 * na, 2):
+                    n = (jj - ell2) // 2 - na
+                    factor = fa * elementary_schur(n, u.component(a))
+                    for state, coeff in apply_psi(vec, "+", a, jj).items():
+                        out[state] = out.get(state, ring.zero()) + coeff * factor
+            vec = {k: v for k, v in out.items() if not v.is_zero}
+    return vec.get(WedgeState.vacuum(), ring.zero()) * sign_E(m1, nu)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [WeightMatrix.symbolic(), WeightMatrix.random(5), WeightMatrix.random(17)],
+    ids=["sym", "seed5", "seed17"],
+)
+def test_oracle_matches_per_sector_expansion(weights):
+    """<nu|G|0> from one G|0> equals the per-sector hatted expansion."""
+    order = 2
+    ring = _ring(order)
+    u = TimeVector.symbolic(ring, order)
+    nonzero = 0
+    for m1 in range(0, 4):
+        for m2 in range(0, m1 + 1):
+            for m3 in range(0, m2 + 1):
+                params = normalize_params((-m1, -m2, -m3), (-m1, -m2, -m3))
+                G = build_G_vacuum(params, weights, u, ring)
+                support = _support(params)
+                for nu in support:
+                    want = _tau_hatted(params, weights, u, ring, nu)
+                    assert tau_from_G(G, nu, ring) == want, (params.m, nu)
+                    assert tau_oracle(params, weights, u, ring, nu=nu) == want
+                    nonzero += not want.is_zero
+                # one step outside the support box, and the wrong total charge
+                total = -sum(params.m)
+                for n1 in range(-m1 - 1, -m3 + 2):
+                    for n2 in range(-m1 - 1, -m3 + 2):
+                        for n3 in (total - n1 - n2 - 1, total - n1 - n2):
+                            nu = (n1, n2, n3)
+                            if nu in support:
+                                continue
+                            assert tau_from_G(G, nu, ring).is_zero, (params.m, nu)
+                            assert _tau_hatted(params, weights, u, ring, nu).is_zero
+    assert nonzero > 0
