@@ -24,19 +24,24 @@ tau family, three quantities are conserved or pinned to closed form:
 Integration uses an embedded Dormand-Prince 5(4) pair with PI step-size
 control and the standard quartic dense-output interpolant, so monitors can be
 evaluated at arbitrary sample points without constraining the step sequence.
+States, stages and interpolant coefficients are tuples of six Python floats;
+every stage sum is taken per component in one fixed order (``_hsum``), so a
+trajectory is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .exactalg import RatFunc
-from .painleve import omega_products
+from .painleve import f_from_tau0
 from .taudet import TauFamily, rotation_beta_bar
+
+
+Vec = Tuple[float, float, float, float, float, float]
 
 
 class EulerTopError(Exception):
@@ -59,8 +64,8 @@ class EulerState:
     exact_omega: Optional[Tuple[Fraction, ...]] = None
     exact_omega_bar: Optional[Tuple[Fraction, ...]] = None
 
-    def vector(self) -> np.ndarray:
-        return np.array(list(self.omega) + list(self.omega_bar), dtype=float)
+    def vector(self) -> Vec:
+        return tuple(float(x) for x in (*self.omega, *self.omega_bar))
 
 
 @dataclass(frozen=True)
@@ -72,18 +77,8 @@ class ConservedSet:
     mu_product: Fraction
     f: RatFunc
 
-    @property
-    def trace_target(self) -> int:
-        return -self.R2
-
-    @property
-    def det_target(self) -> Fraction:
-        return self.mu_product
-
 
 def conserved_from_family(family: TauFamily) -> ConservedSet:
-    from .painleve import f_from_tau0
-
     p = family.params
     mu1, mu2, mu3 = p.mu
     return ConservedSet(
@@ -94,18 +89,18 @@ def conserved_from_family(family: TauFamily) -> ConservedSet:
     )
 
 
-def rhs(t: float, y: np.ndarray, nu: Sequence[int]) -> np.ndarray:
+def rhs(t: float, y: Vec, nu: Sequence[int]) -> Vec:
     w1, w2, w3, b1, b2, b3 = y
     n1, n2, n3 = nu
     tt1 = t * (t - 1.0)
-    out = np.empty(6)
-    out[0] = w2 * b3 / t + (n3 - n2) * w1 / tt1
-    out[1] = w1 * w3 / tt1 - (n3 - n1) * w2 / t
-    out[2] = b1 * w2 / (1.0 - t)
-    out[3] = b2 * w3 / t - (n3 - n2) * b1 / tt1
-    out[4] = b1 * b3 / tt1 + (n3 - n1) * b2 / t
-    out[5] = w1 * b2 / (1.0 - t)
-    return out
+    return (
+        w2 * b3 / t + (n3 - n2) * w1 / tt1,
+        w1 * w3 / tt1 - (n3 - n1) * w2 / t,
+        b1 * w2 / (1.0 - t),
+        b2 * w3 / t - (n3 - n2) * b1 / tt1,
+        b1 * b3 / tt1 + (n3 - n1) * b2 / t,
+        w1 * b2 / (1.0 - t),
+    )
 
 
 def init_from_tau(family: TauFamily, t0: Fraction) -> EulerState:
@@ -134,13 +129,16 @@ def init_from_tau(family: TauFamily, t0: Fraction) -> EulerState:
     assert trace == -family.params.R2, (
         f"rotation-coefficient seed violates the trace identity: {trace}"
     )
-    return EulerState(
-        t=float(t0),
-        omega=tuple(float(x) for x in exact_w),
-        omega_bar=tuple(float(x) for x in exact_b),
-        exact_omega=exact_w,
-        exact_omega_bar=exact_b,
-    )
+    try:
+        return EulerState(
+            t=float(t0),
+            omega=tuple(float(x) for x in exact_w),
+            omega_bar=tuple(float(x) for x in exact_b),
+            exact_omega=exact_w,
+            exact_omega_bar=exact_b,
+        )
+    except OverflowError:
+        raise EulerTopError("the exact seed does not fit in a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -177,41 +175,71 @@ _D = (
 )
 
 
+MAX_STEPS = 200000  # accepted plus rejected steps before integrate gives up
+
+
+def _hsum(h: float, coeffs: Sequence[float], ks: Sequence[Vec], y=None) -> Vec:
+    """h * sum_j coeffs[j] * ks[j] per component, added to y if given.
+
+    Each component's sum starts from 0 and adds its terms left to right. The
+    order is fixed because every printed digit of a trajectory depends on it;
+    builtin ``sum`` will not do, as Python 3.12 made it compensated on floats.
+    """
+    acc = [0] * 6
+    for c, k in zip(coeffs, ks):
+        acc = [a + c * x for a, x in zip(acc, k)]
+    if y is None:
+        return tuple(h * a for a in acc)
+    return tuple(b + h * a for b, a in zip(y, acc))
+
+
+def _error_norm(err: Vec, y: Vec, y_new: Vec, tol: float) -> float:
+    """RMS of err_i / (tol + tol * max(|y_i|, |y_new_i|)), squares summed left
+    to right; a NaN wins the max, and a zero scale (tol = 0) admits no error."""
+    acc = 0.0
+    for e, a, b in zip(err, y, y_new):
+        a, b = abs(a), abs(b)
+        scale = tol + tol * (a if a >= b or a != a else b)
+        if scale == 0.0:
+            return math.inf
+        q = e / scale
+        acc += q * q
+    return math.sqrt(acc / 6)
+
+
 @dataclass
 class _Segment:
     t0: float
     h: float
-    rcont: Tuple[np.ndarray, ...]
+    rcont: Tuple[Vec, Vec, Vec, Vec, Vec]
 
-    def eval(self, t: float) -> np.ndarray:
+    def eval(self, t: float) -> Vec:
         theta = (t - self.t0) / self.h
         th1 = 1.0 - theta
-        r1, r2, r3, r4, r5 = self.rcont
-        return r1 + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5)))
+        return tuple(
+            r1 + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5)))
+            for r1, r2, r3, r4, r5 in zip(*self.rcont)
+        )
 
 
 @dataclass
 class Trajectory:
     ts: List[float] = field(default_factory=list)
-    ys: List[np.ndarray] = field(default_factory=list)
+    ys: List[Vec] = field(default_factory=list)
     segments: List[_Segment] = field(default_factory=list)
     n_steps: int = 0
     n_rejected: int = 0
 
     @property
-    def t_start(self) -> float:
-        return self.ts[0]
-
-    @property
     def t_end(self) -> float:
         return self.ts[-1]
 
-    def sample(self, t: float) -> np.ndarray:
-        lo, hi = sorted((self.t_start, self.t_end))
+    def sample(self, t: float) -> Vec:
+        lo, hi = sorted((self.ts[0], self.t_end))
         if not (lo - 1e-12 <= t <= hi + 1e-12):
             raise EulerTopError(f"sample point {t} outside [{lo}, {hi}]")
         if not self.segments:
-            return self.ys[0].copy()
+            return self.ys[0]
         # segments are ordered along the direction of integration
         for seg in self.segments:
             a, b = sorted((seg.t0, seg.t0 + seg.h))
@@ -219,25 +247,23 @@ class Trajectory:
                 return seg.eval(t)
         return self.segments[-1].eval(t)
 
-    def final_state(self) -> np.ndarray:
-        return self.ys[-1].copy()
+    def final_state(self) -> Vec:
+        return self.ys[-1]
 
 
 def integrate(
-    state: EulerState,
-    nu: Sequence[int],
-    t_end: float,
-    tol: float = 1e-10,
-    max_steps: int = 200000,
+    state: EulerState, nu: Sequence[int], t_end: float, tol: float = 1e-10
 ) -> Trajectory:
     """Adaptive DP5(4) integration from state.t to t_end."""
     t = float(state.t)
     y = state.vector()
     direction = 1.0 if t_end >= t else -1.0
-    traj = Trajectory(ts=[t], ys=[y.copy()])
+    traj = Trajectory(ts=[t], ys=[y])
     if t_end == t:
         return traj
-    atol = rtol = float(tol)
+    if t in (0.0, 1.0):  # where the vector field divides by zero
+        raise PoleDetected(t)
+    tol = float(tol)
     k1 = rhs(t, y, nu)
     h = direction * min(abs(t_end - t), 1e-3)
     facold = 1e-4
@@ -247,39 +273,26 @@ def integrate(
             raise PoleDetected(t)
         if (t + h - t_end) * direction > 0:
             h = t_end - t
-        ks = [k1]
-        failed = False
-        for i in range(1, 7):
-            ti = t + _C[i] * h
-            yi = y + h * sum(aij * kj for aij, kj in zip(_A[i], ks))
-            if abs(ti) < 1e-14 or abs(ti - 1.0) < 1e-14:
-                failed = True
-                break
-            ks.append(rhs(ti, yi, nu))
-        if failed:
+        stage_ts = [t + c * h for c in _C]
+        if any(abs(s) < 1e-14 or abs(s - 1.0) < 1e-14 for s in stage_ts[1:]):
             h *= 0.5
             traj.n_rejected += 1
             continue
-        y_new = y + h * sum(a7j * kj for a7j, kj in zip(_A[6], ks[:6]))
-        err_vec = h * sum(e * k for e, k in zip(_E, ks))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        ks = [k1]
+        for i in range(1, 7):
+            ks.append(rhs(stage_ts[i], _hsum(h, _A[i], ks, y), nu))
+        y_new = _hsum(h, _A[6], ks, y)
+        err = _error_norm(_hsum(h, _E, ks), y, y_new, tol)
         if err <= 1.0:
-            ydiff = y_new - y
-            bspl = h * ks[0] - ydiff
-            rcont = (
-                y.copy(),
-                ydiff,
-                bspl,
-                ydiff - h * ks[6] - bspl,
-                h * sum(d * k for d, k in zip(_D, ks)),
-            )
-            traj.segments.append(_Segment(t0=t, h=h, rcont=rcont))
+            ydiff = tuple(b - a for a, b in zip(y, y_new))
+            bspl = tuple(h * k - d for k, d in zip(ks[0], ydiff))
+            r4 = tuple(d - h * k - b for d, k, b in zip(ydiff, ks[6], bspl))
+            traj.segments.append(_Segment(t, h, (y, ydiff, bspl, r4, _hsum(h, _D, ks))))
             t += h
             y = y_new
             k1 = ks[6]  # first-same-as-last
             traj.ts.append(t)
-            traj.ys.append(y.copy())
+            traj.ys.append(y)
             traj.n_steps += 1
             facold = max(err, 1e-4)
             fac = 0.9 * (1.0 / err if err > 0 else 1e10) ** expo1 * facold**0.04
@@ -288,7 +301,7 @@ def integrate(
             traj.n_rejected += 1
             fac = 0.9 * (1.0 / err) ** expo1
             h *= min(1.0, max(0.2, fac))
-        if traj.n_steps + traj.n_rejected > max_steps:
+        if traj.n_steps + traj.n_rejected > MAX_STEPS:
             raise EulerTopError(f"step budget exhausted at t = {t}")
     return traj
 
@@ -343,11 +356,6 @@ CSV_HEADER = (
 def monitor_csv(report: dict) -> str:
     lines = [CSV_HEADER]
     for r in report["rows"]:
-        vals = (
-            [r["t"]]
-            + list(r["omega"])
-            + list(r["omega_bar"])
-            + list(r["monitors"])
-        )
+        vals = (r["t"], *r["omega"], *r["omega_bar"], *r["monitors"])
         lines.append(",".join(format(v, ".17g") for v in vals))
     return "\n".join(lines) + "\n"

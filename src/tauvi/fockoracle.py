@@ -90,12 +90,6 @@ class WedgeState:
             1 for gg in self.holes if component_of(gg) == a
         )
 
-    def sort_key(self):
-        return (
-            tuple(sorted(self.particles, reverse=True)),
-            tuple(sorted(self.holes, reverse=True)),
-        )
-
 
 def component_of(gg: int) -> int:
     """Component index a in {1,2,3} of the doubled global slot gg."""

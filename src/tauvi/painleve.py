@@ -238,24 +238,23 @@ def distinct_branches(params: ScalingParams, branches: Sequence[str] = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def f_from_tau0(tau: RatFunc, tname: str = "t") -> RatFunc:
+def f_from_tau0(tau: RatFunc) -> RatFunc:
     """f = t(t-1) * tau'/tau."""
     if tau.is_zero:
         raise ZeroTauError("tau0 vanishes identically")
-    ring = tau.ring
-    t = ring.var(tname)
-    return RatFunc(t * (t - 1)) * tau.derivative(tname) / tau
+    t = tau.ring.var("t")
+    return RatFunc(t * (t - 1)) * tau.derivative("t") / tau
 
 
-def sigma_from_f(f: RatFunc, a: Fraction, b: Fraction, tname: str = "t") -> RatFunc:
-    t = f.ring.var(tname)
+def sigma_from_f(f: RatFunc, a: Fraction, b: Fraction) -> RatFunc:
+    t = f.ring.var("t")
     return f - RatFunc(t * a + f.ring.const(b))
 
 
-def omega_products(f: RatFunc, r2: int, tname: str = "t") -> Tuple[RatFunc, ...]:
+def omega_products(f: RatFunc, r2: int) -> Tuple[RatFunc, ...]:
     """Closed forms of (w1*wb1, w2*wb2, w3*wb3) along the Euler-top flow."""
-    t = f.ring.var(tname)
-    fp = f.derivative(tname)
+    t = f.ring.var("t")
+    fp = f.derivative("t")
     return (
         RatFunc(t - 1) * fp - f,
         fp,
@@ -263,26 +262,24 @@ def omega_products(f: RatFunc, r2: int, tname: str = "t") -> Tuple[RatFunc, ...]
     )
 
 
-def _sigma_parts(sigma: RatFunc, tname: str):
-    """(numerator p, denominator q, and the Wronskian-style combinations
-    p'q - pq' and (p'q - pq')'q - 2q'(p'q - pq')) of sigma.
+def _wronskians(p: MultiPoly, q: MultiPoly):
+    """The Wronskian-style combinations d1 = p'q - pq' and
+    d2 = d1'q - 2q'd1 of the quotient p/q.
 
-    With them sigma' = sd1/q^2 and sigma'' = sd2/q^3, so every consumer
-    works on polynomials and divides by a power of q once at the end.
+    With them (p/q)' = d1/q^2 and (p/q)'' = d2/q^3, so every consumer works
+    on polynomials and divides by a power of q once at the end.
     """
-    sp, sq = sigma.num, sigma.den
-    dsp, dsq = sp.derivative(tname), sq.derivative(tname)
-    sd1 = dsp * sq - sp * dsq
-    sd2 = sd1.derivative(tname) * sq - 2 * dsq * sd1
-    return sp, sq, sd1, sd2
+    dq = q.derivative("t")
+    d1 = p.derivative("t") * q - p * dq
+    return d1, d1.derivative("t") * q - 2 * dq * d1
 
 
-def okamoto_y(sigma: RatFunc, v: Sequence[Fraction], tname: str = "t") -> RatFunc:
+def okamoto_y(sigma: RatFunc, v: Sequence[Fraction]) -> RatFunc:
     """Extract y from sigma on one branch; raises if the branch degenerates."""
     v1, v2, v3, v4 = (Fraction(x) for x in v)
-    ring = sigma.ring
-    t = ring.var(tname)
-    sp, sq, sd1, sd2 = _sigma_parts(sigma, tname)
+    t = sigma.ring.var("t")
+    sp, sq = sigma.num, sigma.den
+    sd1, sd2 = _wronskians(sp, sq)
     sq2 = sq * sq
     a_num = (sd1 + v3 * v3 * sq2) * (sd1 + v4 * v4 * sq2)
     if a_num.is_zero:
@@ -302,16 +299,15 @@ def okamoto_y(sigma: RatFunc, v: Sequence[Fraction], tname: str = "t") -> RatFun
     return RatFunc(y_num, 2 * a_num)
 
 
-def sigma_form_residual(
-    sigma: RatFunc, v: Sequence[Fraction], tname: str = "t"
-) -> MultiPoly:
+def sigma_form_residual(sigma: RatFunc, v: Sequence[Fraction]) -> MultiPoly:
     """sigma'(t(t-1)sigma'')^2 + (sigma'[2 sigma-(2t-1)sigma'] + e4)^2
     - prod_k(sigma' + v_k^2), as its numerator over sq^8 (sq = sigma's
     denominator); identically zero iff sigma solves the form."""
     v1, v2, v3, v4 = (Fraction(x) for x in v)
     ring = sigma.ring
-    t = ring.var(tname)
-    sp, sq, sd1, sd2 = _sigma_parts(sigma, tname)
+    t = ring.var("t")
+    sp, sq = sigma.num, sigma.den
+    sd1, sd2 = _wronskians(sp, sq)
     sq2 = sq * sq
     tt1 = t * (t - 1)
     e4 = v1 * v2 * v3 * v4
@@ -330,7 +326,6 @@ def pvi_residual(
     beta: Fraction,
     gamma: Fraction,
     delta: Fraction,
-    tname: str = "t",
 ) -> MultiPoly:
     """Difference of the two sides of Painleve VI, as its numerator over
     2 t^2 (t-1)^2 Q^3 U V W (with y = P/Q, U = P, V = P - Q, W = P - t*Q).
@@ -341,8 +336,7 @@ def pvi_residual(
     alpha, beta, gamma, delta = (
         Fraction(x) for x in (alpha, beta, gamma, delta)
     )
-    ring = y.ring
-    t = ring.var(tname)
+    t = y.ring.var("t")
     P, Q = y.num, y.den
     U = P
     V = P - Q
@@ -353,9 +347,7 @@ def pvi_residual(
         raise FixedSingularityError("y is identically 1")
     if W.is_zero:
         raise FixedSingularityError("y is identically t")
-    dP, dQ = P.derivative(tname), Q.derivative(tname)
-    N1 = dP * Q - P * dQ
-    N2 = N1.derivative(tname) * Q - 2 * dQ * N1
+    N1, N2 = _wronskians(P, Q)
     tt1 = t * (t - 1)
     UV, UW, VW = U * V, U * W, V * W
     UVW = UV * W

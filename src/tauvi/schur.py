@@ -103,12 +103,12 @@ class TimeVector:
         return sequence_diff(self.component(a), self.component(b))
 
     @classmethod
-    def symbolic(cls, ring: PolyRing, order: int, stem: str = "u") -> "TimeVector":
-        """Pull symbols named ``{stem}{a}{n}`` (a = component, n = time index)
+    def symbolic(cls, ring: PolyRing, order: int) -> "TimeVector":
+        """Pull symbols named ``u{a}{n}`` (a = component, n = time index)
         out of ``ring``; e.g. order 2 uses u11, u12, u21, u22, u31, u32."""
         seqs = []
         for a in (1, 2, 3):
-            seqs.append(tuple(ring.var(f"{stem}{a}{n}") for n in range(1, order + 1)))
+            seqs.append(tuple(ring.var(f"u{a}{n}") for n in range(1, order + 1)))
         return cls(*seqs)
 
     @classmethod

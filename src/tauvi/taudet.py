@@ -37,7 +37,6 @@ from random import Random
 from typing import Optional, Sequence, Tuple
 
 from .exactalg import (
-    ExactAlgError,
     MultiPoly,
     PolyRing,
     RatFunc,
@@ -199,8 +198,8 @@ def tau_ring(weights: WeightMatrix, extra: Sequence[str] = ("t",)) -> PolyRing:
     return PolyRing(syms)
 
 
-def time_symbols(order: int, stem: str = "u") -> tuple:
-    return tuple(f"{stem}{a}{n}" for a in (1, 2, 3) for n in range(1, order + 1))
+def time_symbols(order: int) -> tuple:
+    return tuple(f"u{a}{n}" for a in (1, 2, 3) for n in range(1, order + 1))
 
 
 # ---------------------------------------------------------------------------

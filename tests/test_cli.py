@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import tauvi
 
 from tauvi.cli import (
     EXIT_DEGENERATE,
@@ -334,6 +340,42 @@ def test_euler_csv_output_is_byte_identical(tmp_path, capsys):
     assert len(lines) == 21
 
 
+# Frozen digests of the reference run's output: a change to the integrator's
+# arithmetic, or to the order in which it sums, shows up here.
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "636933a1a4b483954ab2e73632ce619c801382bd02c478e2b12774db3f7f31b4"),
+        ("json", "f018ccaa008294747762ed5cb988727cc484f53bc5fa0c4323116c5d5367dfb5"),
+    ],
+)
+def test_euler_output_matches_golden_digest(capsys, fmt, digest):
+    code, out, err = run(
+        capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11", f"--format={fmt}"
+    )
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_runs_on_the_standard_library_alone():
+    # A fresh interpreter without site-packages imports all seven modules and
+    # runs ``tauvi euler``; no module outside the standard library may load.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tauvi.__file__)))
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from tauvi import cli, eulertop, exactalg, fockoracle, painleve, schur, taudet\n"
+        "code = cli.main(['euler', '--mu=-4,-2,0', '--nu=-3,-2,-1', '--weights=seed:11'])\n"
+        "loaded = {name.split('.')[0] for name in sys.modules}\n"
+        "print(code, sorted(loaded - set(sys.stdlib_module_names) - {'__main__', 'tauvi'}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_euler_rejects_symbolic_weights(capsys):
     code, _, err = run(capsys, "euler", ARG_MU, ARG_NU)
     assert code == EXIT_USAGE
@@ -357,6 +399,30 @@ def test_euler_zero_denominator_time_exits_usage(capsys, flag):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert flag.split("=")[0] in err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--t0=1/1" + "0" * 330, "--t-end=1" + "0" * 400],
+    ids=["seed-overflows", "t-end-overflows"],
+)
+def test_euler_time_overflowing_a_float_exits_usage(capsys, flag):
+    # the first is a valid time whose exact seed overflows; the second time
+    # itself does not fit in a float
+    code, out, err = run(capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11", flag)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "does not fit in a float" in err and err.count("\n") == 1
+
+
+def test_euler_start_rounding_to_one_aborts_with_one_line(capsys):
+    code, out, err = run(
+        capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11",
+        "--t0=10000000000000001/10000000000000000",
+    )
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert err == "integration aborted: step size underflow near t = 1.0\n"
 
 
 def test_euler_zero_samples_exits_usage(capsys):

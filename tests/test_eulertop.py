@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from tauvi.eulertop import (
@@ -12,6 +13,7 @@ from tauvi.eulertop import (
     EulerState,
     EulerTopError,
     PoleDetected,
+    _error_norm,
     conserved_from_family,
     init_from_tau,
     integrate,
@@ -49,28 +51,27 @@ def seeded6(family6):
 
 
 def test_rhs_fixes_the_origin():
-    assert np.all(rhs(0.37, np.zeros(6), NU6) == 0.0)
+    assert rhs(0.37, (0.0,) * 6, NU6) == (0.0,) * 6
 
 
 def test_rhs_symmetric_under_bar_swap_when_nu_equal():
     # with nu1 = nu2 = nu3 the linear terms drop and omega <-> omega_bar is a
     # symmetry; a state with omega = omega_bar must keep it.
-    rng = np.random.default_rng(5)
-    half = rng.uniform(-2, 2, 3)
-    y = np.concatenate([half, half])
-    out = rhs(0.42, y, (-2, -2, -2))
-    assert np.allclose(out[:3], out[3:], rtol=0, atol=1e-15)
+    rng = random.Random(5)
+    half = tuple(rng.uniform(-2, 2) for _ in range(3))
+    out = rhs(0.42, half + half, (-2, -2, -2))
+    assert all(abs(a - b) <= 1e-15 for a, b in zip(out[:3], out[3:]))
 
 
 def test_rhs_preserves_the_pairing_trace():
     # d/dt sum_i omega_i*omegabar_i telescopes to zero for *any* state.
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     for _ in range(25):
-        y = rng.uniform(-3, 3, 6)
+        y = tuple(rng.uniform(-3, 3) for _ in range(6))
         t = rng.uniform(0.05, 0.95)
         d = rhs(t, y, NU6)
-        ddt = float(np.dot(d[:3], y[3:]) + np.dot(y[:3], d[3:]))
-        assert abs(ddt) <= 1e-12 * max(1.0, float(np.max(np.abs(y))) ** 2)
+        ddt = sum(d[i] * y[i + 3] + y[i] * d[i + 3] for i in range(3))
+        assert abs(ddt) <= 1e-12 * max(1.0, max(abs(x) for x in y) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,12 @@ def test_seed_rejects_fixed_singularities(family6):
         init_from_tau(family6, Fraction(0))
 
 
+def test_seed_too_large_for_a_float_is_rejected(family6):
+    # t0 = 10^-330 is a valid exact time, but omega2 ~ 1/t0 overflows a float
+    with pytest.raises(EulerTopError, match="does not fit in a float"):
+        init_from_tau(family6, Fraction(1, 10**330))
+
+
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
@@ -120,7 +127,7 @@ def test_seed_rejects_fixed_singularities(family6):
 def test_monitors_stay_small_along_the_flow(family6, seeded6):
     cons = conserved_from_family(family6)
     traj = integrate(seeded6, family6.params.nu, 0.9, tol=1e-10)
-    report = monitor(traj, cons, np.linspace(0.5, 0.9, 9))
+    report = monitor(traj, cons, [0.5 + 0.05 * i for i in range(9)])
     assert max(report["max"]) <= 1e-8
 
 
@@ -133,7 +140,8 @@ def test_integration_is_reversible(family6, seeded6):
         omega_bar=tuple(fwd.final_state()[3:]),
     )
     back = integrate(turn, nu, 0.5, tol=1e-10)
-    assert float(np.max(np.abs(back.final_state() - seeded6.vector()))) <= 1e-7
+    drift = (abs(a - b) for a, b in zip(back.final_state(), seeded6.vector()))
+    assert max(drift) <= 1e-7
 
 
 def test_integration_is_deterministic(family6, seeded6):
@@ -141,13 +149,32 @@ def test_integration_is_deterministic(family6, seeded6):
     a = integrate(seeded6, nu, 0.9, tol=1e-10)
     b = integrate(seeded6, nu, 0.9, tol=1e-10)
     assert a.ts == b.ts
-    assert all(np.array_equal(x, y) for x, y in zip(a.ys, b.ys))
+    assert a.ys == b.ys
 
 
 def test_zero_length_integration(seeded6):
     traj = integrate(seeded6, NU6, seeded6.t, tol=1e-10)
     assert traj.ts == [seeded6.t]
-    assert np.array_equal(traj.sample(seeded6.t), seeded6.vector())
+    assert traj.sample(seeded6.t) == seeded6.vector()
+
+
+def test_start_on_a_fixed_singularity_is_a_pole():
+    # an exact t0 just above 1 rounds to the float 1.0, where rhs divides by 0
+    state = EulerState(t=1.0, omega=(1.0, 2.0, 3.0), omega_bar=(3.0, 2.0, 1.0))
+    with pytest.raises(PoleDetected) as info:
+        integrate(state, NU6, 0.9)
+    assert info.value.t_last == 1.0
+
+
+def test_zero_tolerance_collapses_the_step(seeded6):
+    # every scale is 0, so no step can be accepted
+    with pytest.raises(PoleDetected):
+        integrate(seeded6, NU6, 0.9, tol=0.0)
+
+
+def test_nan_in_the_new_state_rejects_the_step():
+    y_new = (math.nan,) + (1.0,) * 5
+    assert math.isnan(_error_norm((0.0,) * 6, (1.0,) * 6, y_new, 1e-10))
 
 
 def test_movable_pole_is_detected():
@@ -163,7 +190,7 @@ def test_movable_pole_is_detected():
 
 def test_perturbed_seed_trips_the_monitors(family6, seeded6):
     cons = conserved_from_family(family6)
-    bumped = seeded6.vector()
+    bumped = list(seeded6.vector())
     bumped[0] += 0.01
     state = EulerState(t=0.5, omega=tuple(bumped[:3]), omega_bar=tuple(bumped[3:]))
     traj = integrate(state, family6.params.nu, 0.9, tol=1e-10)
