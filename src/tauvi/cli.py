@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -297,8 +298,15 @@ def cmd_euler(args) -> int:
     if args.samples < 1:
         sys.stderr.write(f"error: --samples must be at least 1, got {args.samples}\n")
         return EXIT_USAGE
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     t0 = _parse_time(args.t0, "--t0")
     t_end = _parse_time(args.t_end, "--t-end")
+    if not 0 < t_end < 1:
+        raise ValueError(
+            f"--t-end must lie strictly between the fixed singularities 0 and 1, "
+            f"got {args.t_end!r}"
+        )
     family = TauFamily(cfg.params, cfg.weights)
     try:
         state = init_from_tau(family, t0)

@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exactalg import RatFunc
 from .painleve import f_from_tau0
-from .taudet import TauFamily, rotation_beta_bar
+from .taudet import TauFamily, rotation_beta
 
 
 Vec = Tuple[float, float, float, float, float, float]
@@ -106,6 +106,9 @@ def rhs(t: float, y: Vec, nu: Sequence[int]) -> Vec:
 def init_from_tau(family: TauFamily, t0: Fraction) -> EulerState:
     """Seed the flow from the rotation coefficients at rational t0, h = 1.
 
+    At h = 1 the barred coefficients h^(nu_i - nu_j) * beta_ij of the flow
+    equal beta_ij.
+
     Everything is computed in exact arithmetic first; the trace identity
     sum_i omega_i omegabar_i = -R2 is asserted before rounding to floats.
     """
@@ -113,16 +116,16 @@ def init_from_tau(family: TauFamily, t0: Fraction) -> EulerState:
     if t0 in (0, 1):
         raise EulerTopError("t0 must avoid the fixed singularities 0 and 1")
 
-    def bar(i, j):
-        val = rotation_beta_bar(family, i, j, t0=t0)
+    def beta(i, j):
+        val = rotation_beta(family, i, j, t0=t0)
         return val.constant_value() if not val.is_zero else Fraction(0)
 
-    w3 = bar(1, 2)
-    b3 = bar(2, 1)
-    w2 = -bar(1, 3) / t0
-    b2 = -bar(3, 1) / t0
-    w1 = (1 - t0) * bar(2, 3) / t0
-    b1 = (1 - t0) * bar(3, 2) / t0
+    w3 = beta(1, 2)
+    b3 = beta(2, 1)
+    w2 = -beta(1, 3) / t0
+    b2 = -beta(3, 1) / t0
+    w1 = (1 - t0) * beta(2, 3) / t0
+    b1 = (1 - t0) * beta(3, 2) / t0
     exact_w = (w1, w2, w3)
     exact_b = (b1, b2, b3)
     trace = sum(a * b for a, b in zip(exact_w, exact_b))

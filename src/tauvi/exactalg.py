@@ -41,7 +41,6 @@ pass first so that sparse matrices collapse before elimination starts.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
@@ -56,12 +55,11 @@ Scalar = Union[int, Fraction]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# Decimal text of ints at most this long converts with str()/int() under any
-# interpreter digit limit (CPython rejects limits below 640 digits); longer
-# ones are split into such pieces, so serialization is exact at any size
-# without touching the process-wide sys.set_int_max_str_digits.
-_SAFE_DIGITS = 600
-_SAFE_BITS = 1990  # 2**1990 < 10**600
+# Ints below 2**1990 < 10**600 convert with str() under any interpreter digit
+# limit (CPython rejects limits below 640 digits); larger ones are split into
+# such pieces, so text output is exact at any size without touching the
+# process-wide sys.set_int_max_str_digits.
+_SAFE_BITS = 1990
 
 
 def _int_text(n: int) -> str:
@@ -75,27 +73,11 @@ def _int_text(n: int) -> str:
     return _int_text(hi) + _int_text(lo).zfill(k)
 
 
-def _text_int(text: str) -> int:
-    """Inverse of ``_int_text``."""
-    if len(text) <= _SAFE_DIGITS:
-        return int(text)
-    if text[0] == "-":
-        return -_text_int(text[1:])
-    k = len(text) // 2
-    return _text_int(text[:-k]) * 10**k + _text_int(text[-k:])
-
-
 def _fraction_text(c: Fraction) -> str:
     """``str(c)`` of a Fraction of any size: ``p`` or ``p/q``."""
     if c.denominator == 1:
         return _int_text(c.numerator)
     return f"{_int_text(c.numerator)}/{_int_text(c.denominator)}"
-
-
-def _text_fraction(text: str) -> Fraction:
-    """Inverse of ``_fraction_text``."""
-    num, slash, den = text.partition("/")
-    return Fraction(_text_int(num), _text_int(den) if slash else 1)
 
 
 class ExactAlgError(Exception):
@@ -178,9 +160,6 @@ class PolyRing:
         exp[i] = 1
         return _raw_poly(self, _ONE, {tuple(exp): 1})
 
-    def poly(self, terms: Mapping[tuple, Scalar]) -> "MultiPoly":
-        return MultiPoly(self, terms)
-
 
 def _grlex_key(exp: tuple) -> tuple:
     return (sum(exp), exp)
@@ -235,19 +214,6 @@ class MultiPoly:
         if not self.is_constant:
             raise ExactAlgError(f"not a constant: {self}")
         return self.content * next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if self.is_zero:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        """Degree in one symbol; -1 for the zero polynomial."""
-        if self.is_zero:
-            return -1
-        i = self.ring.index(name)
-        return max(e[i] for e in self.terms)
 
     def leading(self) -> tuple:
         """(exponent, coefficient) of the graded-lex leading term."""
@@ -403,20 +369,6 @@ class MultiPoly:
             result = result + term
         return result
 
-    def eval_all(self, bindings: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate with every symbol bound to an exact rational."""
-        out = 0
-        vals = [
-            _as_fraction(bindings[s]) for s in self.ring.symbols
-        ]  # KeyError if missing
-        for exp, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exp):
-                if e:
-                    term *= v**e
-            out += term
-        return self.content * out
-
     def eval_float(self, bindings: Mapping[str, float]) -> float:
         """Floating-point evaluation (for ODE monitoring, not identities).
 
@@ -434,17 +386,6 @@ class MultiPoly:
                     term *= v**e
             out += term
         return out
-
-    def embed(self, ring: PolyRing) -> "MultiPoly":
-        """Re-express in a larger ring containing all of this ring's symbols."""
-        positions = [ring.index(s) for s in self.ring.symbols]
-        out: dict = {}
-        for exp, c in self.terms.items():
-            new = [0] * ring.nvars
-            for pos, e in zip(positions, exp):
-                new[pos] = e
-            out[tuple(new)] = c
-        return _raw_poly(ring, self.content, out)
 
     # -- exact division -----------------------------------------------------
 
@@ -525,19 +466,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.text()})"
-
-    def to_json(self) -> dict:
-        return {
-            "symbols": list(self.ring.symbols),
-            "terms": [
-                [list(exp), _fraction_text(c)] for exp, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "MultiPoly":
-        ring = PolyRing(data["symbols"])
-        return cls(ring, {tuple(exp): _text_fraction(c) for exp, c in data["terms"]})
 
 
 def _raw_poly(ring: PolyRing, content: Fraction, terms: dict) -> MultiPoly:
@@ -1106,12 +1034,6 @@ class RatFunc:
             )
         return RatFunc(num, den)
 
-    def eval_all(self, bindings: Mapping[str, Scalar]) -> Fraction:
-        den = self.den.eval_all(bindings)
-        if den == 0:
-            raise DegenerateSpecialization(f"pole at {dict(bindings)!r}")
-        return self.num.eval_all(bindings) / den
-
     def eval_float(self, bindings: Mapping[str, float]) -> float:
         return self.num.eval_float(bindings) / self.den.eval_float(bindings)
 
@@ -1126,15 +1048,3 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.text()})"
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "RatFunc":
-        return cls(MultiPoly.from_json(data["num"]), MultiPoly.from_json(data["den"]))
-
-
-def poly_json_text(p) -> str:
-    """Deterministic JSON text for either MultiPoly or RatFunc."""
-    return json.dumps(p.to_json(), sort_keys=True, separators=(",", ":"))

@@ -12,11 +12,11 @@ level) pair.  To stay in integer arithmetic we store *doubled* indices:
 
     gg = 3*kk + 2a - 4,        kk = 2k  (odd).
 
-The vacuum |0> occupies every gg < 0.  A wedge state is recorded relative to
-that sea: a frozenset of occupied positive slots ("particles") and a frozenset
-of vacated negative slots ("holes").  Slots are ordered by descending gg in
-the wedge word, so applying a fermion at slot gg costs the phase
-(-1)^(number of occupied slots strictly above gg).
+The vacuum |0> occupies every gg < 0.  A wedge state is the frozenset of
+slots whose occupancy differs from that sea: a positive slot in the set is
+occupied, a negative one is vacated.  Slots are ordered by descending gg in
+the wedge word, so wedging in or contracting the fermion at slot gg costs the
+phase (-1)^(number of occupied slots strictly above gg); ``flip`` does both.
 
 ``psi_plus(a, kk)`` wedges in the component-a vector at level -kk/2 (slot
 gg = -3*kk + 2a - 4); ``psi_minus(a, kk)`` contracts the vector at level
@@ -61,34 +61,11 @@ have no wedge in it and read zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .exactalg import MultiPoly, PolyRing
 from .schur import TimeVector, elementary_schur
 from .taudet import ScalingParams, WeightMatrix, _sign_pow
-
-
-@dataclass(frozen=True)
-class WedgeState:
-    """Particles above / holes inside the Dirac sea, as doubled odd indices."""
-
-    particles: frozenset
-    holes: frozenset
-
-    def __post_init__(self):
-        assert all(gg > 0 and gg % 2 for gg in self.particles)
-        assert all(gg < 0 and gg % 2 for gg in self.holes)
-
-    @staticmethod
-    def vacuum() -> "WedgeState":
-        return WedgeState(frozenset(), frozenset())
-
-    def charge(self, a: int) -> int:
-        return sum(1 for gg in self.particles if component_of(gg) == a) - sum(
-            1 for gg in self.holes if component_of(gg) == a
-        )
 
 
 def component_of(gg: int) -> int:
@@ -104,50 +81,6 @@ def level_kk(gg: int) -> int:
     return kk
 
 
-def state_energy(state: WedgeState) -> Fraction:
-    """Sum of particle levels minus sum of hole levels (relative to |0>)."""
-    e = Fraction(0)
-    for gg in state.particles:
-        e += Fraction(level_kk(gg), 2)
-    for gg in state.holes:
-        e -= Fraction(level_kk(gg), 2)
-    return e
-
-
-def _count_above(state: WedgeState, gg: int) -> int:
-    above = sum(1 for p in state.particles if p > gg)
-    above -= sum(1 for h in state.holes if h > gg)
-    if gg < 0:
-        above += (-gg - 1) // 2  # sea slots strictly above gg
-    return above
-
-
-def _occupy(state: WedgeState, gg: int):
-    """Wedge in slot gg; returns (phase, new state) or None when Pauli kills it."""
-    if gg > 0:
-        if gg in state.particles:
-            return None
-        new = WedgeState(state.particles | {gg}, state.holes)
-    else:
-        if gg not in state.holes:
-            return None
-        new = WedgeState(state.particles, state.holes - {gg})
-    return (_sign_pow(_count_above(state, gg)), new)
-
-
-def _unoccupy(state: WedgeState, gg: int):
-    """Contract slot gg; returns (phase, new state) or None if empty."""
-    if gg > 0:
-        if gg not in state.particles:
-            return None
-        new = WedgeState(state.particles - {gg}, state.holes)
-    else:
-        if gg in state.holes:
-            return None
-        new = WedgeState(state.particles, state.holes | {gg})
-    return (_sign_pow(_count_above(state, gg)), new)
-
-
 def psi_plus_slot(a: int, kk: int) -> int:
     return -3 * kk + 2 * a - 4
 
@@ -156,36 +89,21 @@ def psi_minus_slot(a: int, kk: int) -> int:
     return 3 * kk + 2 * a - 4
 
 
-def apply_psi(vec: Dict, kind: str, a: int, kk: int) -> Dict:
-    """Apply one fermion mode to a coefficient-weighted bag of wedge states."""
-    assert kk % 2, "levels are half-integers: doubled index must be odd"
-    out: Dict = {}
-    for state, coeff in vec.items():
-        if kind == "+":
-            res = _occupy(state, psi_plus_slot(a, kk))
-        elif kind == "-":
-            res = _unoccupy(state, psi_minus_slot(a, kk))
-        else:
-            raise ValueError(f"kind must be '+' or '-', got {kind!r}")
-        if res is None:
-            continue
-        phase, new = res
-        val = -coeff if phase < 0 else coeff
-        if new in out:
-            val = out[new] + val
-        _store(out, new, val)
-    return out
+def flip(state: frozenset, gg: int, create: bool):
+    """Wedge in (``create``) or contract the fermion at slot gg.
 
-
-def _store(vec: Dict, state: WedgeState, val) -> None:
-    if isinstance(val, MultiPoly):
-        if val.is_zero:
-            vec.pop(state, None)
-            return
-    elif val == 0:
-        vec.pop(state, None)
-        return
-    vec[state] = val
+    Returns (phase, new state), or None when gg is already occupied (create)
+    or empty (contract).  Only the parity of the occupied slots above gg
+    matters, and a hole above gg changes their number by one just as a
+    particle does, so every member of ``state`` above gg counts once.
+    """
+    assert gg % 2, "slots are doubled half-integers: gg must be odd"
+    if ((gg < 0) != (gg in state)) == create:
+        return None
+    above = sum(1 for s in state if s > gg)
+    if gg < 0:
+        above += (-gg - 1) // 2  # sea slots strictly above gg
+    return _sign_pow(above), state ^ {gg}
 
 
 # ---------------------------------------------------------------------------
@@ -194,55 +112,35 @@ def _store(vec: Dict, state: WedgeState, val) -> None:
 
 
 def _q_left_multiply(sign: int, ops: list, i: int, direction: int):
-    """Rewrite Q_i^direction * ops |0> as ops' |0>, returning the new sign."""
+    """Rewrite Q_i^direction * ops |0> as ops' |0>, returning the new sign.
+
+    ``ops`` holds (create, a, kk) triples: psi_plus(a, kk) when create is
+    true, psi_minus(a, kk) otherwise.
+    """
     assert direction in (1, -1)
-    for idx, (kind, a, kk) in enumerate(ops):
+    for idx, (create, a, kk) in enumerate(ops):
         if a != i:
             sign = -sign
         else:
-            if kind == "+":
-                kk -= 2 * direction
-            else:
-                kk += 2 * direction
-            ops[idx] = (kind, a, kk)
-    ops.append(("+" if direction == 1 else "-", i, -1))
+            ops[idx] = (create, a, kk - 2 * direction if create else kk + 2 * direction)
+    ops.append((direction == 1, i, -1))
     return sign
 
 
-def charged_vacuum(k1: int, k2: int, k3: int) -> Tuple[int, WedgeState]:
+def charged_vacuum(k1: int, k2: int, k3: int) -> Tuple[int, frozenset]:
     """(sign, wedge) with  sign * wedge = Q1^k1 Q2^k2 Q3^k3 |0>."""
     sign = 1
     ops: list = []
     for i, k in ((3, k3), (2, k2), (1, k1)):
-        step = 1 if k >= 0 else -1
         for _ in range(abs(k)):
-            sign = _q_left_multiply(sign, ops, i, step)
-    vec = {WedgeState.vacuum(): 1}
-    for kind, a, kk in reversed(ops):
-        vec = apply_psi(vec, kind, a, kk)
-        assert vec, "charge-shift string annihilated the vacuum"
-    assert len(vec) == 1
-    state, coeff = next(iter(vec.items()))
-    assert coeff in (1, -1)
-    return sign * coeff, state
-
-
-def q_shift(k: Sequence[int], i: int, direction: int) -> Tuple[int, WedgeState]:
-    """Evaluate Q_i^direction |k1,k2,k3> mechanically (for cross-checks)."""
-    k1, k2, k3 = k
-    sign = 1
-    ops: list = []
-    for comp, kk in ((3, k3), (2, k2), (1, k1)):
-        step = 1 if kk >= 0 else -1
-        for _ in range(abs(kk)):
-            sign = _q_left_multiply(sign, ops, comp, step)
-    sign = _q_left_multiply(sign, ops, i, direction)
-    vec = {WedgeState.vacuum(): 1}
-    for kind, a, kk in reversed(ops):
-        vec = apply_psi(vec, kind, a, kk)
-    assert len(vec) == 1
-    state, coeff = next(iter(vec.items()))
-    return sign * coeff, state
+            sign = _q_left_multiply(sign, ops, i, 1 if k > 0 else -1)
+    state = frozenset()
+    for create, a, kk in reversed(ops):
+        res = flip(state, (psi_plus_slot if create else psi_minus_slot)(a, kk), create)
+        assert res is not None, "charge-shift string annihilated the vacuum"
+        phase, state = res
+        sign *= phase
+    return sign, state
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +164,23 @@ def apply_phi(
         wa = weights.entry(a, b, ring)
         for jj in range(ell2, 2 * m1, 2):
             s = elementary_schur((jj - ell2) // 2, u.component(a))
-            if isinstance(s, MultiPoly):
-                if s.is_zero:
-                    continue
-            elif s == 0:
+            if s == 0:
                 continue
             factor = wa * s
             neg_factor = -factor
             slot = psi_plus_slot(a, jj)
             for state, coeff in vec.items():
-                res = _occupy(state, slot)
+                res = flip(state, slot, True)
                 if res is None:
                     continue
                 phase, new = res
                 val = coeff * (factor if phase > 0 else neg_factor)
                 if new in out:
                     val = out[new] + val
-                _store(out, new, val)
+                    if val.is_zero:
+                        del out[new]
+                        continue
+                out[new] = val
     return out
 
 

@@ -407,7 +407,6 @@ def solve_family(
     params: ScalingParams,
     weights: WeightMatrix,
     branches: Sequence[str] = None,
-    dedupe: bool = True,
 ) -> SolveResult:
     """Run the full pipeline; degenerate branches are reported, not raised."""
     family = TauFamily(params, weights)
@@ -421,12 +420,7 @@ def solve_family(
     a, b = shift_ab(cs[0], cs[1])
     sigma = sigma_from_f(f, a, b)
     As = A_from_c(cs)
-    if branches is None:
-        branch_list = distinct_branches(params)
-    elif dedupe:
-        branch_list = distinct_branches(params, branches)
-    else:
-        branch_list = [canonical_branch(x) for x in branches]
+    branch_list = distinct_branches(params, branches)
     out = []
     degenerate = []
     for bid in branch_list:

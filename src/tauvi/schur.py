@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Sequence, Tuple, Union
 
 from .exactalg import MultiPoly, PolyRing
@@ -42,10 +41,6 @@ def sequence_diff(a: Sequence[Entry], b: Sequence[Entry]) -> tuple:
     return tuple(out)
 
 
-def sequence_scale(a: Sequence[Entry], factor) -> tuple:
-    return tuple(x * factor for x in a)
-
-
 def elementary_schur(j: int, s: Sequence[Entry]):
     """S_j of a (finite) time sequence; exact, polymorphic in the entries."""
     if j < 0:
@@ -65,13 +60,6 @@ def elementary_schur(j: int, s: Sequence[Entry]):
     return chain[j]
 
 
-def divided_power(n: int, x: Entry):
-    """x^n / n! for n >= 0, and 0 for negative n (same type as x)."""
-    if n < 0:
-        return _zero_like(x)
-    return x**n * Fraction(1, factorial(n))
-
-
 @dataclass(frozen=True)
 class TimeVector:
     """The triple of truncated time sequences of the 3-component hierarchy."""
@@ -84,10 +72,6 @@ class TimeVector:
         object.__setattr__(self, "u1", tuple(self.u1))
         object.__setattr__(self, "u2", tuple(self.u2))
         object.__setattr__(self, "u3", tuple(self.u3))
-
-    @property
-    def order(self) -> int:
-        return max(len(self.u1), len(self.u2), len(self.u3))
 
     def component(self, a: int) -> tuple:
         if a == 1:
@@ -110,8 +94,3 @@ class TimeVector:
         for a in (1, 2, 3):
             seqs.append(tuple(ring.var(f"u{a}{n}") for n in range(1, order + 1)))
         return cls(*seqs)
-
-    @classmethod
-    def zero(cls, order: int = 0) -> "TimeVector":
-        z = (Fraction(0),) * order
-        return cls(z, z, z)

@@ -190,12 +190,9 @@ class WeightMatrix:
         return [[str(x) for x in row] for row in self.entries]
 
 
-def tau_ring(weights: WeightMatrix, extra: Sequence[str] = ("t",)) -> PolyRing:
-    """Ring holding t (and friends) plus whatever weight symbols are in play."""
-    syms = tuple(extra)
-    if weights.is_symbolic:
-        syms = syms + WEIGHT_SYMBOLS
-    return PolyRing(syms)
+def tau_ring(weights: WeightMatrix) -> PolyRing:
+    """Ring holding t plus whatever weight symbols are in play."""
+    return PolyRing(("t",) + (WEIGHT_SYMBOLS if weights.is_symbolic else ()))
 
 
 def time_symbols(order: int) -> tuple:
@@ -481,16 +478,3 @@ def rotation_beta(
     if t0 is not None:
         out = out.specialize({"t": Fraction(t0)})
     return out
-
-
-def rotation_beta_bar(
-    family: TauFamily,
-    i: int,
-    j: int,
-    t0: Fraction = None,
-    h0: Fraction = Fraction(1),
-) -> RatFunc:
-    """h^{nu_i - nu_j} * beta_ij; identical to beta_ij at h0 = 1."""
-    nu = family.params.nu
-    scale = Fraction(h0) ** (nu[i - 1] - nu[j - 1])
-    return rotation_beta(family, i, j, t0=t0, h0=h0) * scale

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -307,6 +310,26 @@ def test_oracle_expands_G_once_per_call(capsys, monkeypatch):
     assert calls == [(3, 1, 0)]
 
 
+# Frozen digests of ``tauvi oracle`` stdout: a change to the phase rule of a
+# wedge shows up here, even where all three routes still agree.  A sign fixed
+# per slot, such as the sea term of ``flip``, cancels in <nu|G|0>; the sign
+# pins of test_fockoracle.py see that one.
+@pytest.mark.parametrize(
+    "order, digest",
+    [
+        ("1", "c5824c900a98167d07febb6876a49a82075771b84944c4faeed5a693e58a8301"),
+        ("2", "e8f09b783d54f089732534af3ecfce01a421826570ec0334a9ccb0b03c9a4e5a"),
+    ],
+)
+def test_oracle_output_matches_golden_digest(capsys, order, digest):
+    code, out, err = run(
+        capsys, "oracle", "--mu=-3,-1,0", "--nu=-2,-1,-1", "--weights=sym",
+        f"--order={order}",
+    )
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # euler
 # ---------------------------------------------------------------------------
@@ -376,6 +399,21 @@ def test_runs_on_the_standard_library_alone():
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py wraps each (module, attribute) of TARGETS in every
+    # ``perfbench/run.py --trace 1`` run; a name missing from tauvi would
+    # crash that run, not fail a test of its own.
+    root = Path(tauvi.__file__).resolve().parents[2]
+    tracing = runpy.run_path(str(root / "perfbench" / "tracing.py"))
+    assert tracing["TARGETS"]
+    for module, attribute, *_ in tracing["TARGETS"]:
+        obj = importlib.import_module(module)
+        for part in attribute.split("."):
+            assert hasattr(obj, part), f"{module}.{attribute}"
+            obj = getattr(obj, part)
+        assert callable(obj), f"{module}.{attribute}"
+
+
 def test_euler_rejects_symbolic_weights(capsys):
     code, _, err = run(capsys, "euler", ARG_MU, ARG_NU)
     assert code == EXIT_USAGE
@@ -423,6 +461,28 @@ def test_euler_start_rounding_to_one_aborts_with_one_line(capsys):
     assert code == EXIT_VERIFY
     assert out == ""
     assert err == "integration aborted: step size underflow near t = 1.0\n"
+
+
+@pytest.mark.parametrize("tol", ["-1e-10", "0", "inf", "nan"])
+def test_euler_tolerance_not_positive_and_finite_exits_usage(capsys, tol):
+    code, out, err = run(
+        capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11", f"--tol={tol}"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("t_end", ["1", "2", "0", "-1"])
+def test_euler_t_end_outside_the_open_unit_interval_exits_usage(capsys, t_end):
+    code, out, err = run(
+        capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11", f"--t-end={t_end}"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--t-end" in err
 
 
 def test_euler_zero_samples_exits_usage(capsys):

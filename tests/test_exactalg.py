@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import sys
 from fractions import Fraction
 from math import gcd
@@ -25,7 +24,6 @@ from tauvi.exactalg import (
     ZeroDenominator,
     fraction_free_det,
     poly_gcd,
-    poly_json_text,
 )
 from tauvi.painleve import solve_family
 from tauvi.taudet import WeightMatrix
@@ -93,7 +91,7 @@ def test_substitute_t_equals_one():
     t = T.var("t")
     p = t**3 - 2 * t + 5
     assert p.subs({"t": 1}) == T.const(4)
-    assert p.eval_all({"t": Fraction(1)}) == 4
+    assert p.subs({"t": Fraction(1)}).constant_value() == 4
 
 
 def test_partial_substitution_keeps_remaining_symbols():
@@ -105,9 +103,7 @@ def test_partial_substitution_keeps_remaining_symbols():
 def test_degrees_and_leading_term():
     x, y = XY.var("x"), XY.var("y")
     p = x**2 * y + 3 * y**2
-    assert p.total_degree() == 3
-    assert p.degree_in("x") == 2
-    assert p.degree_in("y") == 2
+    assert set(p.terms) == {(2, 1), (0, 2)}  # total degree 3, degree 2 in each
     exp, lc = p.leading()
     assert exp == (2, 1) and lc == 1
 
@@ -147,9 +143,9 @@ def test_derivative_matches_finite_difference():
     df = f.derivative("t")
     h = Fraction(1, 10**6)
     for t0 in (Fraction(1, 3), Fraction(5, 7), Fraction(-2, 5)):
-        num = f.eval_all({"t": t0 + h}) - f.eval_all({"t": t0 - h})
-        approx = num / (2 * h)
-        exact = df.eval_all({"t": t0})
+        num = f.specialize({"t": t0 + h}) - f.specialize({"t": t0 - h})
+        approx = num.constant_value() / (2 * h)
+        exact = df.specialize({"t": t0}).constant_value()
         assert abs(float(approx - exact)) < 1e-8 * max(1.0, abs(float(exact)))
 
 
@@ -212,7 +208,7 @@ def test_kernel_matches_sympy(a, b, x0, y0):
             divisible = False
         assert divisible == rem.is_zero
     want = sa.subs({x: sympy.Rational(str(x0)), y: sympy.Rational(str(y0))})
-    assert a.eval_all({"x": x0, "y": y0}) == Fraction(str(want))
+    assert a.subs({"x": x0, "y": y0}).constant_value() == Fraction(str(want))
 
 
 @settings(max_examples=100, deadline=None)
@@ -311,7 +307,7 @@ def _gcd_operands(draw):
     if draw(st.booleans()):
         x, y = XYZW.var("x"), XYZW.var("y")
         g = g * (x + draw(st.integers(10**6, 10**30)) * y)
-    shared = XYZW.poly({draw(_monos)[:nvars] + (0,) * (4 - nvars): 1})
+    shared = MultiPoly(XYZW, {draw(_monos)[:nvars] + (0,) * (4 - nvars): 1})
     a = g * poly(draw(_sparse)) * shared
     b = g * poly(draw(_sparse)) * shared
     return draw(st.sampled_from([a, -a, XYZW.const(-6)])), b
@@ -480,8 +476,6 @@ def test_specialize_examples():
     assert r.specialize({"t": 2}) == 5
     with pytest.raises(DegenerateSpecialization):
         r.specialize({"t": 1})
-    with pytest.raises(DegenerateSpecialization):
-        r.eval_all({"t": Fraction(1)})
 
 
 def test_ratfunc_negative_power():
@@ -501,25 +495,11 @@ def test_text_is_deterministic_and_ordered():
     assert p.text() == "x*y + y^2 + 1"
 
 
-def test_json_round_trip_poly():
-    x, y = XY.var("x"), XY.var("y")
-    p = x**2 * Fraction(3, 7) - y + 2
-    back = MultiPoly.from_json(json.loads(poly_json_text(p)))
-    assert back == p
-
-
-def test_json_round_trip_ratfunc():
-    t = T.var("t")
-    r = RatFunc(t**2 - Fraction(1, 3), t + 5)
-    back = RatFunc.from_json(json.loads(poly_json_text(r)))
-    assert back == r
-
-
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"),
     reason="this interpreter has no int/str digit limit",
 )
-def test_text_and_json_exact_beyond_int_str_digit_limit():
+def test_text_exact_beyond_int_str_digit_limit():
     x, y = XY.var("x"), XY.var("y")
     big = 10**5000 + 7
     p = XY.const(big) * x - Fraction(3, 2 * big + 1) * y**2 + Fraction(-big, 9)
@@ -528,15 +508,10 @@ def test_text_and_json_exact_beyond_int_str_digit_limit():
     try:
         sys.set_int_max_str_digits(0)
         want = f"-3/{2 * big + 1}*y^2 + {big}*x - {big}/9"
+        want_r = f"x + {big}"
         sys.set_int_max_str_digits(640)  # the smallest limit CPython allows
         assert p.text() == want
-        assert MultiPoly.from_json(json.loads(poly_json_text(p))) == p
-        assert RatFunc.from_json(json.loads(poly_json_text(r))) == r
+        assert r.text() == f"({want_r}) / (y - 1)"
         assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def test_json_text_is_stable():
-    x = XY.var("x")
-    assert poly_json_text(x) == poly_json_text(XY.var("x"))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tauvi.exactalg import PolyRing, RatFunc, ZeroDenominator
+from tauvi.exactalg import MultiPoly, PolyRing, RatFunc, ZeroDenominator
 from tauvi.painleve import (
     A_from_c,
     A_from_pvi,
@@ -403,7 +403,7 @@ def test_pvi_numerator_matches_the_u2v2w2_form():
 _ty_ring = PolyRing(("t", "w"))
 _ty_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 2)), fractions_st, max_size=5
-).map(_ty_ring.poly)
+).map(lambda terms: MultiPoly(_ty_ring, terms))
 
 
 @settings(max_examples=60, deadline=None)
@@ -506,8 +506,3 @@ def test_solve_family_dedupes_aliased_branches(params6):
     weights = WeightMatrix.random(4)
     deduped = solve_family(params6, weights, branches=["id", "0123++++", "1023++++"])
     assert len(deduped.branches) == 1
-    raw = solve_family(
-        params6, weights, branches=["id", "0123++++"], dedupe=False
-    )
-    assert len(raw.branches) == 2
-    assert raw.branches[0].y == raw.branches[1].y

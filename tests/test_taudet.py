@@ -15,6 +15,7 @@ from tauvi.exactalg import (
 )
 from tauvi.schur import TimeVector
 from tauvi.taudet import (
+    WEIGHT_SYMBOLS,
     ScalingDataError,
     TauFamily,
     WeightMatrix,
@@ -23,7 +24,6 @@ from tauvi.taudet import (
     build_T,
     normalize_params,
     rotation_beta,
-    rotation_beta_bar,
     sign_A,
     sign_E,
     tau_from_A,
@@ -34,10 +34,10 @@ from tauvi.taudet import (
 
 from conftest import TAU0_NUM, assert_ratfunc_equals, d_polys, expand_d_table
 
+ZERO_TIMES = TimeVector((Fraction(0),), (Fraction(0),), (Fraction(0),))
+
 
 def _u_ring(order: int) -> PolyRing:
-    from tauvi.taudet import WEIGHT_SYMBOLS
-
     return PolyRing(time_symbols(order) + WEIGHT_SYMBOLS)
 
 
@@ -216,27 +216,26 @@ def test_E_zero_times_pure_weight_polynomial():
     # R2 = 0 family: the constant term in u of tau is a nonzero w-polynomial
     p = normalize_params((-1, -1, 0), (-1, -1, 0))
     w = WeightMatrix.symbolic()
-    ring = tau_ring(w, extra=())
-    det = tau_from_E(p, w, TimeVector.zero(1), ring)
+    ring = PolyRing(WEIGHT_SYMBOLS)
+    det = tau_from_E(p, w, ZERO_TIMES, ring)
     assert not det.is_zero
-    assert det.total_degree() > 0  # made of w symbols only
+    assert not det.is_constant  # made of w symbols only
 
 
 def test_E_zero_times_vanishes_when_r2_positive(params6, wsym):
     # deg_u tau = R2 = 3 > 0 forces the all-times-zero value to vanish
-    ring = tau_ring(wsym, extra=())
-    det = tau_from_E(params6, wsym, TimeVector.zero(1), ring)
+    ring = PolyRing(WEIGHT_SYMBOLS)
+    det = tau_from_E(params6, wsym, ZERO_TIMES, ring)
     assert det.is_zero
 
 
 def test_factorization_into_h_power_times_tau0(params6, wsym):
     """tau evaluated at u = (0, h, h/t) equals h^R2 * tau0(t) exactly."""
     fam = TauFamily(params6, wsym)
-    ring0 = tau_ring(wsym, extra=())
     base = fam.tau0()
     for t0, h0 in ((Fraction(2, 3), Fraction(3)), (Fraction(1, 2), Fraction(-2))):
         u = TimeVector((Fraction(0),), (h0,), (h0 / t0,))
-        val = tau_from_E(params6, wsym, u, ring0, nu=params6.nu).embed(fam.ring)
+        val = tau_from_E(params6, wsym, u, fam.ring, nu=params6.nu)
         assert RatFunc(val) == base.specialize({"t": t0}) * h0**params6.R2
 
 
@@ -257,11 +256,10 @@ def test_A_is_3p_by_3p():
     assert len(mat) == 3  # p = max(m1 + nu_i) = 1
     # det agrees with tau0 after the projection substitution
     t0 = Fraction(3, 7)
-    proj = tau_from_A(p, w, u, ring, nu=p.nu).eval_all(
-        {"u11": 0, "u21": t0, "u31": 1}
-    )
+    proj = tau_from_A(p, w, u, ring, nu=p.nu).subs({"u11": 0, "u21": t0, "u31": 1})
     fam = TauFamily(p, w)
-    assert proj == fam.tau0().eval_all({"t": t0}) * t0**p.R2
+    want = fam.tau0().specialize({"t": t0}).constant_value() * t0**p.R2
+    assert proj.constant_value() == want
 
 
 # -- scaling identities -------------------------------------------------------
@@ -350,8 +348,8 @@ def test_rotation_beta_is_determinant_ratio(params6):
     want = (
         sign
         * t0 ** (-power)
-        * num.eval_all({"t": t0})
-        / den.eval_all({"t": t0})
+        * num.subs({"t": t0}).constant_value()
+        / den.subs({"t": t0}).constant_value()
     )
     assert beta.constant_value() == want
 
@@ -367,18 +365,6 @@ def test_rotation_beta_scaling_in_h(params6, wsym):
         scaled = rotation_beta(fam, i, j, t0=t0, h0=lam)
         expect = base * lam ** (-(1 + nu[i - 1] - nu[j - 1]))
         assert scaled == expect
-
-
-def test_rotation_beta_bar_definition(params6, wsym):
-    fam = TauFamily(params6, wsym)
-    h0 = Fraction(5, 2)
-    nu = params6.nu
-    for i, j in ((1, 2), (2, 3), (3, 1)):
-        left = rotation_beta_bar(fam, i, j, t0=Fraction(1, 3), h0=h0)
-        right = rotation_beta(fam, i, j, t0=Fraction(1, 3), h0=h0) * h0 ** (
-            nu[i - 1] - nu[j - 1]
-        )
-        assert left == right
 
 
 def test_rotation_beta_rejects_bad_indices(params6, wsym):
