@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -36,7 +35,6 @@ from .painleve import (
 )
 from .taudet import (
     ScalingDataError,
-    ScalingParams,
     TauFamily,
     WeightMatrix,
     normalize_params,
@@ -49,15 +47,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_INTERRUPTED = 130
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed, validated invocation shared by the subcommands."""
-
-    params: ScalingParams
-    weights: WeightMatrix
-    out: Optional[str]
 
 
 def _parse_triple(text: str, name: str):
@@ -93,12 +82,12 @@ def parse_weights(spec: str) -> WeightMatrix:
     )
 
 
-def _config(args) -> RunConfig:
+def _config(args):
+    """The validated (params, weights) of a subcommand's common options."""
     params = normalize_params(
         _parse_triple(args.mu, "mu"), _parse_triple(args.nu, "nu")
     )
-    weights = parse_weights(args.weights)
-    return RunConfig(params=params, weights=weights, out=args.out)
+    return params, parse_weights(args.weights)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -127,6 +116,11 @@ def _parse_time(text: str, flag: str) -> Fraction:
         raise ValueError(f"{flag} must be an exact rational, got {text!r}") from None
     if abs(value) > sys.float_info.max:
         raise ValueError(f"{flag} does not fit in a float, got {text!r}")
+    if not 0 < value < 1:
+        raise ValueError(
+            f"{flag} must lie strictly between the fixed singularities 0 and 1, "
+            f"got {text!r}"
+        )
     return value
 
 
@@ -144,30 +138,30 @@ def _sample_grid(t0: float, t_end: float, n: int) -> list:
 
 
 def cmd_tau(args) -> int:
-    cfg = _config(args)
-    family = TauFamily(cfg.params, cfg.weights)
+    params, weights = _config(args)
+    family = TauFamily(params, weights)
     tau = family.tau0()
     if tau.is_zero:
         sys.stderr.write(
-            f"warning: nu={list(cfg.params.nu)} lies outside the support of "
-            f"m={list(cfg.params.m)}; tau vanishes identically\n"
+            f"warning: nu={list(params.nu)} lies outside the support of "
+            f"m={list(params.m)}; tau vanishes identically\n"
         )
     doc = {
-        "mu": list(cfg.params.mu),
-        "nu": list(cfg.params.nu),
-        "m": list(cfg.params.m),
-        "R2": cfg.params.R2,
-        "sign": sign_E(cfg.params.m[0], cfg.params.nu),
+        "mu": list(params.mu),
+        "nu": list(params.nu),
+        "m": list(params.m),
+        "R2": params.R2,
+        "sign": sign_E(params.m[0], params.nu),
         "tau0": tau.text(),
     }
-    _emit(_json_text(doc), cfg.out)
+    _emit(_json_text(doc), args.out)
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    cfg = _config(args)
+    params, weights = _config(args)
     branches = None if args.branch == "all" else args.branch.split(",")
-    result = solve_family(cfg.params, cfg.weights, branches=branches)
+    result = solve_family(params, weights, branches=branches)
     branch_docs = []
     all_zero = True
     if result.branches:
@@ -196,14 +190,14 @@ def cmd_solve(args) -> int:
         )
     doc = {
         "params": {
-            "mu": list(cfg.params.mu),
-            "nu": list(cfg.params.nu),
-            "m": list(cfg.params.m),
-            "R2": cfg.params.R2,
-            "p": cfg.params.p,
-            "shift_c": cfg.params.shift_c,
+            "mu": list(params.mu),
+            "nu": list(params.nu),
+            "m": list(params.m),
+            "R2": params.R2,
+            "p": params.p,
+            "shift_c": params.shift_c,
         },
-        "weights": cfg.weights.to_json(),
+        "weights": weights.to_json(),
         "tau0": result.tau0.text(),
         "f": result.f.text(),
         "sigma": result.sigma.text(),
@@ -216,7 +210,7 @@ def cmd_solve(args) -> int:
             {"branch": bid, "reason": reason} for bid, reason in result.degenerate
         ],
     }
-    _emit(_json_text(doc), cfg.out)
+    _emit(_json_text(doc), args.out)
     if not result.branches:
         return EXIT_DEGENERATE
     return EXIT_OK if all_zero else EXIT_VERIFY
@@ -228,25 +222,22 @@ def cmd_oracle(args) -> int:
     from .schur import TimeVector
     from .taudet import WEIGHT_SYMBOLS, tau_from_A, tau_from_E
 
-    cfg = _config(args)
-    params = cfg.params
+    params, weights = _config(args)
     if params.m[0] > args.max_m1:
-        sys.stderr.write(
+        raise ValueError(
             f"oracle refused: m1 = {params.m[0]} exceeds --max-m1 = {args.max_m1} "
             f"(the Schur matrix would be {2*params.m[0]-params.m[1]-params.m[2]}"
             f"x{2*params.m[0]-params.m[1]-params.m[2]}, the big route "
             f"{3*params.p}x{3*params.p}, and the fermion state space grows "
-            "combinatorially)\n"
+            "combinatorially)"
         )
-        return EXIT_USAGE
-    if not cfg.weights.is_symbolic:
-        sys.stderr.write("oracle comparison runs on symbolic weights; use --weights sym\n")
-        return EXIT_USAGE
+    if not weights.is_symbolic:
+        raise ValueError("oracle comparison runs on symbolic weights; use --weights sym")
     order = args.order
     ring = PolyRing(WEIGHT_SYMBOLS + time_symbols(order))
     u = TimeVector.symbolic(ring, order)
     m1, m2, m3 = params.m
-    G = build_G_vacuum(params, cfg.weights, u, ring)
+    G = build_G_vacuum(params, weights, u, ring)
     rows = []
     all_agree = True
     configured = {}
@@ -257,8 +248,8 @@ def cmd_oracle(args) -> int:
                 continue
             nu = (n1, n2, n3)
             t_o = tau_from_G(G, nu, ring)
-            t_e = tau_from_E(params, cfg.weights, u, ring, nu=nu)
-            t_a = tau_from_A(params, cfg.weights, u, ring, nu=nu)
+            t_e = tau_from_E(params, weights, u, ring, nu=nu)
+            t_a = tau_from_A(params, weights, u, ring, nu=nu)
             agree = t_o == t_e and t_o == t_a
             all_agree = all_agree and agree
             rows.append({"nu": list(nu), "agree": agree})
@@ -277,7 +268,7 @@ def cmd_oracle(args) -> int:
         "support": rows,
         "routes": configured,
     }
-    _emit(_json_text(doc), cfg.out)
+    _emit(_json_text(doc), args.out)
     return EXIT_OK if all_agree else EXIT_VERIFY
 
 
@@ -291,31 +282,23 @@ def cmd_euler(args) -> int:
         monitor_csv,
     )
 
-    cfg = _config(args)
-    if cfg.weights.is_symbolic:
-        sys.stderr.write("euler needs numeric weights (seed:N or json:FILE)\n")
-        return EXIT_USAGE
+    params, weights = _config(args)
+    if weights.is_symbolic:
+        raise ValueError("euler needs numeric weights (seed:N or json:FILE)")
     if args.samples < 1:
-        sys.stderr.write(f"error: --samples must be at least 1, got {args.samples}\n")
-        return EXIT_USAGE
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     t0 = _parse_time(args.t0, "--t0")
     t_end = _parse_time(args.t_end, "--t-end")
-    if not 0 < t_end < 1:
-        raise ValueError(
-            f"--t-end must lie strictly between the fixed singularities 0 and 1, "
-            f"got {args.t_end!r}"
-        )
-    family = TauFamily(cfg.params, cfg.weights)
+    family = TauFamily(params, weights)
     try:
         state = init_from_tau(family, t0)
     except (DegenerateSpecialization, ZeroTauError, EulerTopError) as exc:
-        sys.stderr.write(f"cannot seed the flow at t0={t0}: {exc}\n")
-        return EXIT_USAGE
+        raise ValueError(f"cannot seed the flow at t0={t0}: {exc}") from None
     cons = conserved_from_family(family)
     try:
-        traj = integrate(state, cfg.params.nu, float(t_end), tol=args.tol)
+        traj = integrate(state, params.nu, float(t_end), tol=args.tol)
     except EulerTopError as exc:
         sys.stderr.write(f"integration aborted: {exc}\n")
         return EXIT_VERIFY
@@ -323,7 +306,7 @@ def cmd_euler(args) -> int:
     report = monitor(traj, cons, sample_ts)
     worst = max(report["max"])
     if args.format == "csv":
-        _emit(monitor_csv(report), cfg.out)
+        _emit(monitor_csv(report), args.out)
     else:
         doc = {
             "t0": float(t0),
@@ -339,7 +322,7 @@ def cmd_euler(args) -> int:
                 "omega_bar": list(traj.final_state()[3:]),
             },
         }
-        _emit(_json_text(doc), cfg.out)
+        _emit(_json_text(doc), args.out)
     return EXIT_OK if worst <= args.max_residual else EXIT_VERIFY
 
 

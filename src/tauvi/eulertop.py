@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exactalg import RatFunc
 from .painleve import f_from_tau0
-from .taudet import TauFamily, rotation_beta
+from .taudet import TauFamily, det3, rotation_beta
 
 
 Vec = Tuple[float, float, float, float, float, float]
@@ -314,14 +314,6 @@ def integrate(
 # ---------------------------------------------------------------------------
 
 
-def _det3(m) -> float:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def monitor(
     traj: Trajectory, cons: ConservedSet, sample_ts: Sequence[float]
 ) -> dict:
@@ -333,7 +325,7 @@ def monitor(
         w1, w2, w3, b1, b2, b3 = traj.sample(t)
         m1 = abs((w1 * b1 + w2 * b2 + w3 * b3) + cons.R2)
         mat = ((n1, w3, -w2), (-b3, n2, w1), (b2, -b1, n3))
-        m2 = abs(_det3(mat) - float(cons.mu_product))
+        m2 = abs(det3(mat) - float(cons.mu_product))
         cubic = b1 * w2 * b3 + w1 * b2 * w3
         m3 = abs(cubic - t * (t - 1.0) * f2.eval_float({"t": t}))
         rows.append(

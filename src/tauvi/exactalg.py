@@ -801,9 +801,11 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 def fraction_free_det(rows: Sequence[Sequence[MultiPoly]], ring: PolyRing = None) -> MultiPoly:
     """Exact determinant by Bareiss elimination.
 
-    A singleton-expansion pass first removes rows/columns with at most one
-    nonzero entry (the tau matrices are sparse with many unit rows), then
-    Bareiss runs on the dense core.  The empty 0x0 determinant is 1 by
+    Before Bareiss runs on the dense core, one expansion step repeats: it
+    takes the first row with at most one nonzero entry or, when no row has
+    one, the first such column (the tau matrices are sparse with many unit
+    rows).  An empty line makes the determinant zero; a singleton is
+    factored out with its cofactor sign.  The empty 0x0 determinant is 1 by
     convention, which requires an explicit ring.
     """
     n = len(rows)
@@ -819,46 +821,28 @@ def fraction_free_det(rows: Sequence[Sequence[MultiPoly]], ring: PolyRing = None
     sign = 1
     prefactor = ring.one()
 
-    def nonzero_in_row(i):
-        return [j for j in range(len(m)) if not m[i][j].is_zero]
-
-    def nonzero_in_col(j):
-        return [i for i in range(len(m)) if not m[i][j].is_zero]
-
-    changed = True
-    while m and changed:
-        changed = False
+    def lines():
+        # Nonzero positions of each row, then of each column, computed lazily
+        # so that the columns are scanned only when no row qualifies.
         k = len(m)
         for i in range(k):
-            nz = nonzero_in_row(i)
-            if len(nz) == 0:
-                return ring.zero()
-            if len(nz) == 1:
-                j = nz[0]
-                if (i + j) % 2:
-                    sign = -sign
-                prefactor = prefactor * m[i][j]
-                del m[i]
-                for r in m:
-                    del r[j]
-                changed = True
-                break
-        if changed or not m:
-            continue
-        for j in range(len(m)):
-            nz = nonzero_in_col(j)
-            if len(nz) == 0:
-                return ring.zero()
-            if len(nz) == 1:
-                i = nz[0]
-                if (i + j) % 2:
-                    sign = -sign
-                prefactor = prefactor * m[i][j]
-                del m[i]
-                for r in m:
-                    del r[j]
-                changed = True
-                break
+            yield [(i, j) for j in range(k) if not m[i][j].is_zero]
+        for j in range(k):
+            yield [(i, j) for i in range(k) if not m[i][j].is_zero]
+
+    while m:
+        nz = next((nz for nz in lines() if len(nz) <= 1), None)
+        if nz is None:
+            break
+        if not nz:
+            return ring.zero()
+        [(i, j)] = nz
+        if (i + j) % 2:
+            sign = -sign
+        prefactor = prefactor * m[i][j]
+        del m[i]
+        for r in m:
+            del r[j]
 
     if not m:
         return prefactor if sign > 0 else -prefactor

@@ -372,7 +372,11 @@ def pvi_residual(
 
 @dataclass(frozen=True)
 class PainleveData:
-    """Everything derived for one branch of one (mu, nu, weights) family."""
+    """What one branch adds to its family's ``SolveResult``.
+
+    ``sigma`` is the family's, repeated so that a branch alone can be checked
+    against the sigma form.
+    """
 
     branch: str
     v: Tuple[Fraction, ...]
@@ -380,11 +384,6 @@ class PainleveData:
     beta: Fraction
     gamma: Fraction
     delta: Fraction
-    a: Fraction
-    b: Fraction
-    c: Tuple[Fraction, ...]
-    A: Tuple[Fraction, ...]
-    f: RatFunc
     sigma: RatFunc
     y: RatFunc
 
@@ -445,11 +444,6 @@ def solve_family(
                 beta=beta,
                 gamma=gamma,
                 delta=delta,
-                a=a,
-                b=b,
-                c=cs,
-                A=As,
-                f=f,
                 sigma=sigma,
                 y=y,
             )

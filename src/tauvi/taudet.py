@@ -21,8 +21,9 @@ Three equivalent constructions of the same tau function are provided:
   determinant of E.
 
 Row/column indices below follow the 1-based conventions of the defining
-formulas; the ``_add`` helper translates to 0-based storage.  Entries that the
-formulas address multiple times accumulate additively.
+formulas; the ``add`` that ``_zero_matrix`` returns translates to 0-based
+storage.  Entries that the formulas address multiple times accumulate
+additively.
 
 ``rotation_beta`` forms the tau-quotient rotation coefficients used to seed
 the Euler-top flow; ``TauFamily`` caches the determinants of the shifted
@@ -107,6 +108,15 @@ def normalize_params(mu: Sequence[int], nu: Sequence[int]) -> ScalingParams:
 # ---------------------------------------------------------------------------
 
 
+def det3(m):
+    """Determinant of a 3x3 matrix, expanded along the first row."""
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
     """3x3 invertible weight matrix; ``None`` entries mean symbolic w{a}{b}.
@@ -126,22 +136,12 @@ class WeightMatrix:
         if kinds == {True, False}:
             raise ValueError("weights must be fully symbolic or fully numeric")
         object.__setattr__(self, "entries", rows)
-        if not self.is_symbolic:
-            det = self._numeric_det()
-            if det == 0:
-                raise ValueError("weight matrix is singular")
+        if not self.is_symbolic and det3(rows) == 0:
+            raise ValueError("weight matrix is singular")
 
     @property
     def is_symbolic(self) -> bool:
         return self.entries[0][0] is None
-
-    def _numeric_det(self) -> Fraction:
-        e = self.entries
-        return (
-            e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-            - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-            + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
-        )
 
     @classmethod
     def symbolic(cls) -> "WeightMatrix":
@@ -222,16 +222,43 @@ def sign_A(p: int, m1: int, nu: Sequence[int]) -> int:
     )
 
 
-def _require_support(params: ScalingParams, nu: Sequence[int]):
+def _charge(params: ScalingParams, nu: Optional[Sequence[int]]) -> Tuple[int, int, int]:
+    """``params.nu``, or ``nu`` checked as an integer triple of the family's trace."""
+    if nu is None:
+        return params.nu
     nu = _triple("nu", nu)
-    m1, m2, m3 = params.m
-    if sum(nu) != -(m1 + m2 + m3):
-        raise ScalingDataError(
-            f"nu={nu} has the wrong trace for m={params.m}"
-        )
-    if not params.in_support(nu):
-        return None
+    if sum(nu) != -sum(params.m):
+        raise ScalingDataError(f"nu={nu} has the wrong trace for m={params.m}")
     return nu
+
+
+def _zero_matrix(size: int, ring: PolyRing):
+    """A size x size zero matrix and ``add(r, c, val)`` on its 1-based entries."""
+    rows = [[ring.zero() for _ in range(size)] for _ in range(size)]
+
+    def add(r, c, val):
+        assert 1 <= r <= size and 1 <= c <= size, (r, c, size)
+        rows[r - 1][c - 1] = rows[r - 1][c - 1] + val
+
+    return rows, add
+
+
+def _schur_of(seq):
+    """Memoized n -> S_n(seq)."""
+    cache = {}
+
+    def schur(n):
+        if n not in cache:
+            cache[n] = elementary_schur(n, seq)
+        return cache[n]
+
+    return schur
+
+
+def _column_blocks(m):
+    """(b, m_b, first column - 1, column count) of weight column b = 3, then 2."""
+    m1, m2, m3 = m
+    return ((3, m3, 0, m1 - m3), (2, m2, m1 - m3, m1 - m2))
 
 
 def build_E(
@@ -242,20 +269,24 @@ def build_E(
     nu: Sequence[int] = None,
 ):
     """Schur-entry matrix of size 2*m1-m2-m3; ``None`` flags zero tau."""
-    nu = params.nu if nu is None else nu
-    nu = _require_support(params, nu)
-    if nu is None:
+    nu = _charge(params, nu)
+    if not params.in_support(nu):
         return None
-    d2 = u.diff(2, 1)
-    d3 = u.diff(3, 1)
-    return _build_core(
-        params.m,
-        nu,
-        weights,
-        ring,
-        lambda n: elementary_schur(n, d2),
-        lambda n: elementary_schur(n, d3),
-    )
+    m1, m2, m3 = params.m
+    n1, _, n3 = nu
+    size = 2 * m1 - m2 - m3
+    rows, add = _zero_matrix(size, ring)
+    schur = {2: _schur_of(u.diff(2, 1)), 3: _schur_of(u.diff(3, 1))}
+    for b, mb, col0, count in _column_blocks(params.m):
+        for j in range(1, min(m1 + n1, count) + 1):
+            add(size - j + 1, col0 + count - j + 1, weights.entry(1, b, ring))
+        for i in range(1, count + 1):
+            for a, row0 in ((2, m1 + n3), (3, 0)):
+                for j in range(1, m1 + nu[a - 1] + 1):
+                    n = j - mb - nu[a - 1] - i
+                    if n >= 0:
+                        add(row0 + j, col0 + i, weights.entry(a, b, ring) * schur[a](n))
+    return rows
 
 
 def build_T(
@@ -272,59 +303,6 @@ def build_T(
     return build_E(params, weights, u, ring, nu=nu)
 
 
-def _build_core(m, nu, weights, ring, S2, S3):
-    m1, m2, m3 = m
-    n1, n2, n3 = nu
-    size = 2 * m1 - m2 - m3
-    rows = [[ring.zero() for _ in range(size)] for _ in range(size)]
-
-    def add(r, c, val):  # 1-based in, 0-based storage
-        assert 1 <= r <= size and 1 <= c <= size, (r, c, size)
-        rows[r - 1][c - 1] = rows[r - 1][c - 1] + val
-
-    cache2, cache3 = {}, {}
-
-    def s2(n):
-        if n < 0:
-            return None
-        if n not in cache2:
-            cache2[n] = S2(n)
-        return cache2[n]
-
-    def s3(n):
-        if n < 0:
-            return None
-        if n not in cache3:
-            cache3[n] = S3(n)
-        return cache3[n]
-
-    w = lambda a, b: weights.entry(a, b, ring)
-
-    for j in range(1, m1 + n1 + 1):
-        add(size - j + 1, m1 - m3 - j + 1, w(1, 3))
-    for i in range(1, m1 - m3 + 1):
-        for j in range(1, m1 + n2 + 1):
-            v = s2(j - m3 - n2 - i)
-            if v is not None:
-                add(m1 + n3 + j, i, w(2, 3) * v)
-        for j in range(1, m1 + n3 + 1):
-            v = s3(j - m3 - n3 - i)
-            if v is not None:
-                add(j, i, w(3, 3) * v)
-    for j in range(1, min(m1 + n1, m1 - m2) + 1):
-        add(size - j + 1, size - j + 1, w(1, 2))
-    for i in range(1, m1 - m2 + 1):
-        for j in range(1, m1 + n2 + 1):
-            v = s2(j - m2 - n2 - i)
-            if v is not None:
-                add(m1 + n3 + j, m1 - m3 + i, w(2, 2) * v)
-        for j in range(1, m1 + n3 + 1):
-            v = s3(j - m2 - n3 - i)
-            if v is not None:
-                add(j, m1 - m3 + i, w(3, 2) * v)
-    return rows
-
-
 def build_A(
     params: ScalingParams,
     weights: WeightMatrix,
@@ -333,37 +311,23 @@ def build_A(
     nu: Sequence[int] = None,
 ):
     """The 3p x 3p matrix over the individual time sequences."""
-    nu = params.nu if nu is None else nu
-    nu = _require_support(params, nu)
-    if nu is None:
+    nu = _charge(params, nu)
+    if not params.in_support(nu):
         return None
     m1, m2, m3 = params.m
-    p = params.p if tuple(nu) == params.nu else max(m1 + v for v in nu)
+    p = max(m1 + v for v in nu)
     size = 3 * p
-    rows = [[ring.zero() for _ in range(size)] for _ in range(size)]
-
-    def add(r, c, val):
-        assert 1 <= r <= size and 1 <= c <= size, (r, c, size)
-        rows[r - 1][c - 1] = rows[r - 1][c - 1] + val
-
+    rows, add = _zero_matrix(size, ring)
     nu_parity = sum(nu)
-    schur_cache = {}
-
-    def schur(a, n):
-        key = (a, n)
-        if key not in schur_cache:
-            schur_cache[key] = elementary_schur(n, u.component(a))
-        return schur_cache[key]
-
-    for b, mb, col_off, count in ((3, m3, 0, m1 - m3), (2, m2, m1 - m3, m1 - m2)):
+    schur = {a: _schur_of(u.component(a)) for a in (1, 2, 3)}
+    for b, mb, col0, count in _column_blocks(params.m):
         for i in range(1, count + 1):
             for a in (1, 2, 3):
                 fa = weights.entry(a, b, ring) * _sign_pow(nu_parity + nu[a - 1])
                 for j in range(0, m1 + nu[a - 1]):
                     n = j - mb - nu[a - 1] - i + 1
-                    if n < 0:
-                        continue
-                    add(3 * j + 4 - a, col_off + i, fa * schur(a, n))
+                    if n >= 0:
+                        add(3 * j + 4 - a, col0 + i, fa * schur[a](n))
     col = 2 * m1 - m2 - m3
     one = ring.one()
     for a in (1, 2, 3):
@@ -376,7 +340,7 @@ def build_A(
 
 def tau_from_E(params, weights, u, ring, nu=None):
     """Sign-adjusted det(E): the tau function at the given times."""
-    nu = params.nu if nu is None else _triple("nu", nu)
+    nu = _charge(params, nu)
     mat = build_E(params, weights, u, ring, nu=nu)
     if mat is None:
         return ring.zero()
@@ -386,7 +350,7 @@ def tau_from_E(params, weights, u, ring, nu=None):
 
 def tau_from_A(params, weights, u, ring, nu=None):
     """Sign-adjusted det(A); equals :func:`tau_from_E` on the support."""
-    nu = params.nu if nu is None else _triple("nu", nu)
+    nu = _charge(params, nu)
     mat = build_A(params, weights, u, ring, nu=nu)
     if mat is None:
         return ring.zero()
@@ -410,7 +374,7 @@ class TauFamily:
         self._dets = {}
 
     def det_T(self, nu=None) -> MultiPoly:
-        nu = self.params.nu if nu is None else _triple("nu", nu)
+        nu = _charge(self.params, nu)
         if nu not in self._dets:
             mat = build_T(self.params, self.weights, self.ring, nu=nu)
             if mat is None:
@@ -421,7 +385,7 @@ class TauFamily:
 
     def tau0(self, nu=None) -> RatFunc:
         """The tau function at the (t, h=t... ) projection: sign * det(T) / t^R2."""
-        nu = self.params.nu if nu is None else _triple("nu", nu)
+        nu = _charge(self.params, nu)
         det = self.det_T(nu)
         if det.is_zero:
             return RatFunc(self.ring.zero())

@@ -173,6 +173,18 @@ def test_solve_three_branches_verified(capsys):
     assert doc["degenerate"] == []
 
 
+# Frozen digest of the reference family's ``tauvi solve`` over all branches:
+# a change to the order in which the tau matrices are built or expanded, or
+# to any derived rational function, shows up here.
+def test_solve_output_matches_golden_digest(capsys):
+    code, out, err = run(capsys, "solve", ARG_MU, ARG_NU, "--weights=seed:3")
+    assert code == EXIT_OK and err == ""
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "f780ca48dfc8a0c0c807615552409c31ec4465508df79b38d70c86290a1ed543"
+    )
+
+
 def test_solve_residual_failure_exits_one(capsys, monkeypatch):
     import tauvi.cli as climod
 
@@ -261,6 +273,7 @@ def test_oracle_trivial_family(capsys):
 def test_oracle_refuses_oversized_family(capsys):
     code, _, err = run(capsys, "oracle", ARG_MU, ARG_NU)
     assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "refused" in err
     assert "6x6" in err
 
@@ -270,6 +283,7 @@ def test_oracle_requires_symbolic_weights(capsys):
         capsys, "oracle", "--mu=-1,0,0", "--nu=0,0,-1", "--weights=seed:2"
     )
     assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "sym" in err
 
 
@@ -417,17 +431,21 @@ def test_benchmark_tracer_targets_resolve():
 def test_euler_rejects_symbolic_weights(capsys):
     code, _, err = run(capsys, "euler", ARG_MU, ARG_NU)
     assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "numeric" in err
 
 
-@pytest.mark.parametrize("t0", ["0", "1"])
+# From 2, -1 or 3/2 the flow to t_end = 1/2 would cross a fixed singularity.
+@pytest.mark.parametrize("t0", ["0", "1", "2", "-1", "3/2"])
 def test_euler_t0_at_fixed_singularity_exits_usage(capsys, t0):
     code, out, err = run(
-        capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11", f"--t0={t0}"
+        capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11", f"--t0={t0}",
+        "--t-end=1/2",
     )
     assert code == EXIT_USAGE
     assert out == ""
-    assert "fixed singularities" in err and err.count("\n") == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--t0" in err and "fixed singularities" in err
 
 
 @pytest.mark.parametrize("flag", ["--t0=1/0", "--t-end=1/0"])
@@ -456,7 +474,7 @@ def test_euler_time_overflowing_a_float_exits_usage(capsys, flag):
 def test_euler_start_rounding_to_one_aborts_with_one_line(capsys):
     code, out, err = run(
         capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11",
-        "--t0=10000000000000001/10000000000000000",
+        "--t0=99999999999999999/100000000000000000",
     )
     assert code == EXIT_VERIFY
     assert out == ""

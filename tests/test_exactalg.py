@@ -421,6 +421,25 @@ def test_det_matches_cofactor_on_random_integer_matrices():
                 for _ in range(n)
             ]
             assert fraction_free_det(rows) == _cofactor_det(rows, ring)
+    # Sparse shapes for the expansion step: a zero column, a singleton that
+    # only a column shows, and singletons that appear as others are removed.
+    shaped = [
+        [[1, 0, 2], [3, 0, 4], [5, 0, 6]],
+        [[1, 2, 0], [3, 4, 5], [6, 7, 0]],
+        [[2, 0, 0], [3, 4, 0], [5, 6, 7]],
+        [[2, 4, 0, 0], [1, 3, 0, 4], [1, 0, 1, 4], [2, 1, 0, 0]],
+    ]
+    sparse = [
+        [
+            [rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        for n in (3, 4, 5, 6)
+        for _ in range(8)
+    ]
+    for ints in shaped + sparse:
+        rows = [[ring.const(v) for v in r] for r in ints]
+        assert fraction_free_det(rows) == _cofactor_det(rows, ring)
 
 
 def test_det_matches_cofactor_on_symbolic_matrix():

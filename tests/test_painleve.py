@@ -284,7 +284,6 @@ def test_golden_branch_scalars(golden):
     assert by["0123++++"].v == (2, 0, -2, -1)
     for data in golden.branches:
         assert data.sigma == golden.sigma
-        assert data.A == golden.A
 
 
 def test_golden_y_identity_branch(golden, ring6):
