@@ -36,7 +36,11 @@ when it gives up, a primitive subresultant remainder sequence takes over.
 
 Determinants of polynomial matrices use Bareiss fraction-free elimination (all
 intermediate divisions are exact), with a cheap singleton-row/column expansion
-pass first so that sparse matrices collapse before elimination starts.
+pass first so that sparse matrices collapse before elimination starts.  Each
+Bareiss step pivots on the entry of the trailing block with the fewest terms
+(Markowitz's sparsity rule): the step multiplies every trailing entry by the
+pivot and the next step divides every entry by it, so a short pivot keeps
+both the products and the exact divisions small.
 """
 
 from __future__ import annotations
@@ -807,6 +811,14 @@ def fraction_free_det(rows: Sequence[Sequence[MultiPoly]], ring: PolyRing = None
     rows).  An empty line makes the determinant zero; a singleton is
     factored out with its cofactor sign.  The empty 0x0 determinant is 1 by
     convention, which requires an explicit ring.
+
+    Each Bareiss step pivots on the nonzero entry of the trailing block with
+    the fewest terms, the first in row-major order on a tie, moved into place
+    by one row swap and one column swap.  The step multiplies every trailing
+    entry by the pivot and the next one divides by it exactly, so on symbolic
+    entries a one-term pivot is far cheaper than the first nonzero entry of
+    the column, which is often a dense polynomial.  The determinant is
+    unique, so the pivot order changes only the cost.
     """
     n = len(rows)
     if n == 0:
@@ -847,19 +859,28 @@ def fraction_free_det(rows: Sequence[Sequence[MultiPoly]], ring: PolyRing = None
     if not m:
         return prefactor if sign > 0 else -prefactor
 
-    # Bareiss on the dense core.
+    # Bareiss on the dense core, pivoting on the sparsest trailing entry.
     k = len(m)
     prev = ring.one()
     for col in range(k - 1):
-        pivot_row = None
-        for i in range(col, k):
-            if not m[i][col].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        best = min(
+            (
+                (len(m[i][j].terms), i, j)
+                for i in range(col, k)
+                for j in range(col, k)
+                if m[i][j].terms
+            ),
+            default=None,
+        )
+        if best is None:
             return ring.zero()
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
+        _, pi, pj = best
+        if pi != col:
+            m[col], m[pi] = m[pi], m[col]
+            sign = -sign
+        if pj != col:
+            for r in m:
+                r[col], r[pj] = r[pj], r[col]
             sign = -sign
         pivot = m[col][col]
         for i in range(col + 1, k):

@@ -185,6 +185,20 @@ def test_solve_output_matches_golden_digest(capsys):
     )
 
 
+# Frozen digest of a larger ``tauvi tau`` run with symbolic weights: its 16x16
+# Bareiss core is where the pivot order matters most, and the determinant,
+# which is unique, must not change with it.
+def test_tau_large_core_output_matches_golden_digest(capsys):
+    code, out, err = run(
+        capsys, "tau", "--mu=-9,-2,0", "--nu=-5,-4,-2", "--weights=sym"
+    )
+    assert code == EXIT_OK and err == ""
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "417292242e428d4c7ba7360dcf52c41ed24c6a3a25c152833b10fadc44da43d1"
+    )
+
+
 def test_solve_residual_failure_exits_one(capsys, monkeypatch):
     import tauvi.cli as climod
 
@@ -260,6 +274,18 @@ def test_oracle_small_family_agrees(capsys):
     assert all(row["agree"] for row in doc["support"])
     assert set(doc["routes"]) == {"oracle", "detE", "detA"}
     assert doc["routes"]["oracle"] == doc["routes"]["detE"] == doc["routes"]["detA"]
+
+
+def test_oracle_agrees_at_m1_four(capsys):
+    code, out, err = run(
+        capsys, "oracle", "--mu=-4,0,0", "--nu=-2,-1,-1", "--weights=sym",
+        "--max-m1=4",
+    )
+    assert code == EXIT_OK and err == ""
+    doc = json.loads(out)
+    assert doc["agree"] is True
+    assert doc["cases"] == len(doc["support"]) > 0
+    assert all(row["agree"] is True for row in doc["support"])
 
 
 def test_oracle_trivial_family(capsys):
@@ -458,17 +484,21 @@ def test_euler_zero_denominator_time_exits_usage(capsys, flag):
 
 
 @pytest.mark.parametrize(
-    "flag",
-    ["--t0=1/1" + "0" * 330, "--t-end=1" + "0" * 400],
+    "flag, message",
+    [
+        ("--t0=1/1" + "0" * 330, "does not fit in a float"),
+        ("--t-end=1" + "0" * 400, "--t-end"),
+    ],
     ids=["seed-overflows", "t-end-overflows"],
 )
-def test_euler_time_overflowing_a_float_exits_usage(capsys, flag):
+def test_euler_time_overflowing_a_float_exits_usage(capsys, flag, message):
     # the first is a valid time whose exact seed overflows; the second time
-    # itself does not fit in a float
+    # itself does not fit in a float, and the (0, 1) range check rejects it
     code, out, err = run(capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11", flag)
     assert code == EXIT_USAGE
     assert out == ""
-    assert "does not fit in a float" in err and err.count("\n") == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
 
 def test_euler_start_rounding_to_one_aborts_with_one_line(capsys):

@@ -459,6 +459,80 @@ def test_det_sparse_singleton_elimination():
     assert fraction_free_det(rows) == -(x * y * (x + y))
 
 
+XYZ = PolyRing(("x", "y", "z"))
+
+
+def _sparse_entry(rng: Random):
+    # uneven term counts, so that the sparsest-pivot search has a choice
+    out = XYZ.zero()
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3, 4])):
+        mono = XYZ.const(rng.choice([-3, -2, -1, 1, 2, 3]))
+        for name in XYZ.symbols:
+            mono = mono * XYZ.var(name) ** rng.randint(0, 2)
+        out = out + mono
+    return out
+
+
+def test_det_matches_cofactor_on_random_sparse_multivariate_matrices():
+    rng = Random(3)
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(12 if n < 6 else 4):
+            rows = [[_sparse_entry(rng) for _ in range(n)] for _ in range(n)]
+            assert fraction_free_det(rows) == _cofactor_det(rows, XYZ)
+
+
+def _det_and_first_pivot(monkeypatch, rows):
+    """The determinant and the first Bareiss pivot, read off as the first
+    divisor other than 1 (step 1 divides by 1, step 2 by the first pivot)."""
+    divisors = []
+    divexact = MultiPoly.divexact
+
+    def recording(self, divisor):
+        divisors.append(divisor)
+        return divexact(self, divisor)
+
+    monkeypatch.setattr(MultiPoly, "divexact", recording)
+    det = fraction_free_det(rows)
+    monkeypatch.undo()
+    return det, next(d for d in divisors if d != XYZ.one())
+
+
+@pytest.mark.parametrize(
+    "at", [(2, 0), (0, 2), (1, 2)], ids=["row-swap", "column-swap", "both-swaps"]
+)
+def test_det_pivots_on_the_sparsest_trailing_entry(monkeypatch, at):
+    # ``rows`` starts as the matrix after the first pivot is in place.  Its
+    # only one-term entry is rows[0][0] = p, and rows[1][1] is chosen so that
+    # the second step's rows[1][1]*p - rows[1][0]*rows[0][1] is again p, so
+    # the second pivot needs no swap and each case makes exactly the swaps
+    # its name says.  Undoing those swaps puts p at ``at``.
+    x, y, z = (XYZ.var(s) for s in XYZ.symbols)
+    p = 2 * x * y
+    rows = [
+        [p, p * (y + 1), y - z + 1],
+        [x + 1, (x + 1) * (y + 1) + 1, z + 2],
+        [y + z, x + z, y * z + 3],
+    ]
+    i, j = at
+    rows[0], rows[i] = rows[i], rows[0]
+    for r in rows:
+        r[0], r[j] = r[j], r[0]
+    det, pivot = _det_and_first_pivot(monkeypatch, rows)
+    assert not det.is_zero
+    assert det == _cofactor_det(rows, XYZ)
+    assert pivot == p
+
+
+def test_det_sparsest_pivot_ties_go_to_the_first_in_row_major_order(monkeypatch):
+    x, y, z = (XYZ.var(s) for s in XYZ.symbols)
+    rows = [[x + y + k, y - z + 2 * k, x * z + k + 1] for k in (1, 2, 3)]
+    rows[2][0] = y  # later in row-major order than ...
+    rows[1][2] = x  # ... this one-term entry, which must win the tie
+    det, pivot = _det_and_first_pivot(monkeypatch, rows)
+    assert det == _cofactor_det(rows, XYZ)
+    assert pivot == x
+
+
 # -- rational functions -------------------------------------------------------
 
 
