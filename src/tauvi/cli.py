@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_oracle)
     p_oracle.add_argument("--order", type=int, default=2, help="time truncation order")
     p_oracle.add_argument(
-        "--max-m1", type=int, default=3, help="refuse families larger than this"
+        "--max-m1", type=int, default=4, help="refuse families larger than this"
     )
     p_oracle.set_defaults(func=cmd_oracle)
 

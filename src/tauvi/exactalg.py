@@ -22,6 +22,23 @@ and terms.  This is the content-times-primitive layout of FLINT's
 * an exact quotient of primitive polynomials is primitive, so exact division
   runs on the integer parts, where a remainder proves the division inexact.
 
+A product whose smaller operand has at least ``_PACK_MIN_TERMS`` terms is
+multiplied over packed exponents (Monagan & Pearce's packed exponent
+vectors): each exponent tuple becomes one int with a slot of ``w`` bits per
+symbol, so adding two keys adds the exponent vectors and the hot loop hashes
+one int instead of building and hashing a tuple for every term pair.
+
+* ``w`` is the bit length of ``max_a + max_b``, the largest exponent of one
+  operand plus the largest of the other.  No slot of a sum exceeds that, so
+  no slot carries into the next and no overflow check is needed.
+* The loop runs in the tuple loop's order over keys in bijection with the
+  tuples, and decodes each output key once, in order, so ``terms`` keeps
+  tuple keys in the same insertion order; ``eval_float`` and the Euler-top
+  output depend on that order.
+* Packing each operand term and decoding each output term cost more than
+  the tuple adds they save on short operands, which is why the tuple loop
+  stays below ``_PACK_MIN_TERMS``.
+
 Monomial order is graded lexicographic: higher total degree first, ties broken
 by comparing exponent tuples in symbol declaration order.  The canonical text
 form sorts monomials in descending graded-lex order, which makes serialized
@@ -64,6 +81,16 @@ _ONE = Fraction(1)
 # such pieces, so text output is exact at any size without touching the
 # process-wide sys.set_int_max_str_digits.
 _SAFE_BITS = 1990
+
+# Smallest operand size, in terms, from which a product runs over packed
+# exponents.  Both loops timed on every product of one round of each
+# benchmark workload (2-core x86_64, CPython 3.11, best of 5): packing first
+# won at 4-5 terms with 1 symbol (families-numeric), 6 with 7 symbols
+# (reference-symbolic) and 11-12 with 12 symbols (oracle-sweep, whose
+# products rarely collide, so decoding costs the most).  At 8 terms it took
+# 0.63-0.66x the tuple loop's time with 1 symbol and 1.2x on the 17 such
+# oracle-sweep products; at 18-28 terms and 7 symbols, 0.36-0.57x.
+_PACK_MIN_TERMS = 8
 
 
 def _int_text(n: int) -> str:
@@ -287,6 +314,17 @@ class MultiPoly:
         return p + (-self)
 
     def __mul__(self, other):
+        """Product, with the smaller operand's terms as the outer loop.
+
+        From ``_PACK_MIN_TERMS`` terms in the smaller operand, each exponent
+        tuple is packed into one int (``_packed_product``).  Slots of
+        ``(max_a + max_b).bit_length()`` bits cannot carry, because no
+        exponent of the product exceeds ``max_a + max_b``.  The packed loop
+        visits the pairs in the tuple loop's order and decodes the keys in
+        insertion order, so ``terms`` gets the same keys in the same order.
+        Below that size packing and decoding cost more than they save, and
+        the tuple loop runs.
+        """
         p = self._coerce(other)
         if p is None:
             return NotImplemented
@@ -295,6 +333,10 @@ class MultiPoly:
         a, b = self.terms, p.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) >= _PACK_MIN_TERMS:
+            return _raw_poly(
+                self.ring, self.content * p.content, _packed_product(a, b)
+            )
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -470,6 +512,36 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.text()})"
+
+
+def _packed_product(a: dict, b: dict) -> dict:
+    """Integer parts ``a * b`` over packed int keys, ``a`` the outer loop.
+
+    The first symbol takes the highest slot.  A zero sum deletes its key and
+    a later non-zero sum re-inserts it at the end, as with tuple keys.
+    """
+    w = (max(map(max, a)) + max(map(max, b))).bit_length()
+    shifts = range(w * (len(next(iter(a))) - 1), -1, -w)
+
+    def pack(exp: tuple) -> int:
+        key = 0
+        for e in exp:
+            key = key << w | e
+        return key
+
+    packed_b = [(pack(eb), cb) for eb, cb in b.items()]
+    out: dict = {}
+    for ea, ca in a.items():
+        ka = pack(ea)
+        for kb, cb in packed_b:
+            key = ka + kb
+            s = out.get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    mask = (1 << w) - 1
+    return {tuple([k >> s & mask for s in shifts]): c for k, c in out.items()}
 
 
 def _raw_poly(ring: PolyRing, content: Fraction, terms: dict) -> MultiPoly:

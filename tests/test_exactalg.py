@@ -211,6 +211,72 @@ def test_kernel_matches_sympy(a, b, x0, y0):
     assert a.subs({"x": x0, "y": y0}).constant_value() == Fraction(str(want))
 
 
+def _tuple_product(a: dict, b: dict) -> dict:
+    """The tuple-key multiply loop: the reference for packed products."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(exp, 0) + ca * cb
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+    return out
+
+
+def _packed_operand(data, ring: PolyRing, size: int, top: int, slot: int):
+    """``size`` terms: exponents in 0..2 and coefficients in +-1, +-2, so that
+    many term pairs meet and cancel, plus one term whose exponent in ``slot``
+    is ``top``, the operand's largest."""
+    n = ring.nvars
+    exps = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 2)] * n),
+            min_size=size - 1, max_size=size - 1, unique=True,
+        )
+    )
+    peak = list(data.draw(st.tuples(*[st.integers(0, 2)] * n)))
+    peak[slot] = top
+    coeffs = st.sampled_from([-2, -1, 1, 2])
+    terms = {e: data.draw(coeffs) for e in exps + [tuple(peak)]}
+    scale = data.draw(st.sampled_from([Fraction(1), Fraction(-10, 3), Fraction(3**40, 7)]))
+    return MultiPoly(ring, terms) * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_product_matches_tuple_loop_and_sympy(data):
+    n = data.draw(st.integers(3, 4))
+    ring = PolyRing(("x", "y", "z", "u")[:n])
+    # The two peak exponents, in one slot, sum to 2**k - 1, the most that k
+    # bits hold, or to 2**k, the least that needs k + 1: the packed slot width.
+    k = data.draw(st.integers(3, 6))
+    total = 2**k - data.draw(st.integers(0, 1))
+    top_a = data.draw(st.integers(3, total - 3))
+    slot = data.draw(st.integers(0, n - 1))
+    cap = min(40, 3**n + 1)
+    small = data.draw(st.integers(exactalg._PACK_MIN_TERMS, cap))
+    a = _packed_operand(data, ring, small, top_a, slot)
+    b = _packed_operand(data, ring, data.draw(st.integers(small, cap)), total - top_a, slot)
+    if data.draw(st.booleans()):
+        a, b = b, a
+    p = a * b
+    assert min(len(a.terms), len(b.terms)) >= exactalg._PACK_MIN_TERMS
+    assert list(p.terms.items()) == list(_tuple_product(a.terms, b.terms).items())
+    assert p.content == a.content * b.content
+    _assert_canonical(p)
+    gens = sympy.symbols(ring.symbols)
+
+    def poly(q: MultiPoly):
+        content = sympy.Rational(q.content.numerator, q.content.denominator)
+        return sympy.Poly.from_dict(q.terms, gens, domain=sympy.QQ) * content
+
+    assert poly(p) == poly(a) * poly(b)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_polys, st.floats(-3, 3), st.floats(-3, 3))
 def test_eval_float_sums_exact_coefficients_in_term_order(p, x0, y0):
