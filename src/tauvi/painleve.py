@@ -27,6 +27,21 @@ denominator, unreduced: the residual vanishes exactly when that
 :class:`~tauvi.exactalg.MultiPoly` does, so no gcd runs, not even when a
 check fails.
 
+The PVI check reaches its zero verdict without building that numerator R.
+One formula, written once over any ring, is read three ways: as degree and
+l1-norm bounds (``_Bound``), as an exact ``Decimal`` and as a ``MultiPoly``.
+With y = P/Q scaled to integer coefficients and R multiplied by the common
+denominator of alpha..delta, every symbol outside the pivots of the exponent
+lattice of P and Q is set to 1, which merges no two monomials of R; pivot i
+becomes X^(prod_{j<i}(d_j+1)) with X = 10^k > 2B+1, where d_j bounds the
+degree of R in pivot j and B bounds its coefficients (Kronecker
+substitution).  Distinct monomials of R then land on distinct powers of X
+with digits smaller than X, so the one integer this yields is 0 exactly when
+R is.  It is evaluated in a ``decimal`` context that traps on any rounding,
+because libmpdec multiplies operands of a million digits by a
+number-theoretic transform.  Only a residual that does not vanish is built
+as a ``MultiPoly``.
+
 The quartic invariants A1..A4 admit three independent evaluations (from
 c5..c10, symmetrically from the v's, and from (alpha..delta) together with
 the signed square root v3+v4+1 of 1-2*delta); agreement across all three is a
@@ -37,10 +52,25 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from math import gcd, lcm
+from operator import add, mul, sub
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .exactalg import MultiPoly, RatFunc
+from .exactalg import MultiPoly, RatFunc, poly_gcd
 from .taudet import ScalingParams, TauFamily, WeightMatrix
 
 BRANCH_ALIASES = {
@@ -281,8 +311,9 @@ def okamoto_y(sigma: RatFunc, v: Sequence[Fraction]) -> RatFunc:
     sp, sq = sigma.num, sigma.den
     sd1, sd2 = _wronskians(sp, sq)
     sq2 = sq * sq
-    a_num = (sd1 + v3 * v3 * sq2) * (sd1 + v4 * v4 * sq2)
-    if a_num.is_zero:
+    f3 = sd1 + v3 * v3 * sq2
+    f4 = sd1 + v4 * v4 * sq2
+    if f3.is_zero or f4.is_zero:
         raise DegenerateBranchError(
             "extraction denominator (sigma'+v3^2)(sigma'+v4^2) is identically zero"
         )
@@ -296,7 +327,13 @@ def okamoto_y(sigma: RatFunc, v: Sequence[Fraction]) -> RatFunc:
     b_num = t * (t - 1) * sd2 + e1 * sd1 * sq - e3 * (sq * sq2)
     c_num = 2 * t * sd1 - 2 * sp * sq - e2 * sq2
     y_num = (v3 + v4) * b_num * sq + (sd1 - v3 * v4 * sq2) * c_num
-    return RatFunc(y_num, 2 * a_num)
+    # y = y_num / (2 f3 f4).  In a UFD gcd(Y, f3 f4) = g3 * gcd(Y/g3, f4) with
+    # g3 = gcd(Y, f3), so two gcds against the factors replace one against
+    # their product, which has about twice the terms.
+    g3 = poly_gcd(y_num, f3)
+    y_num = y_num.divexact(g3)
+    g4 = poly_gcd(y_num, f4)
+    return RatFunc(y_num.divexact(g4), 2 * f3.divexact(g3) * f4.divexact(g4))
 
 
 def sigma_form_residual(sigma: RatFunc, v: Sequence[Fraction]) -> MultiPoly:
@@ -320,38 +357,29 @@ def sigma_form_residual(sigma: RatFunc, v: Sequence[Fraction]) -> MultiPoly:
     return term1 + term2 - term3
 
 
-def pvi_residual(
-    y: RatFunc,
-    alpha: Fraction,
-    beta: Fraction,
-    gamma: Fraction,
-    delta: Fraction,
-) -> MultiPoly:
-    """Difference of the two sides of Painleve VI, as its numerator over
-    2 t^2 (t-1)^2 Q^3 U V W (with y = P/Q, U = P, V = P - Q, W = P - t*Q).
-
-    U, V and W are checked to be nonzero, so the residual vanishes exactly
-    when the returned numerator does.
-    """
-    alpha, beta, gamma, delta = (
-        Fraction(x) for x in (alpha, beta, gamma, delta)
-    )
+def _reject_fixed_points(y: RatFunc) -> None:
+    """Raise FixedSingularityError if y is identically 0, 1 or t, the fixed
+    singularities of Painleve VI, where its residual cannot be written down."""
     t = y.ring.var("t")
-    P, Q = y.num, y.den
-    U = P
-    V = P - Q
-    W = P - t * Q
-    if U.is_zero:
-        raise FixedSingularityError("y is identically 0")
-    if V.is_zero:
-        raise FixedSingularityError("y is identically 1")
-    if W.is_zero:
-        raise FixedSingularityError("y is identically t")
-    N1, N2 = _wronskians(P, Q)
+    for name, diff in (("0", y.num), ("1", y.num - y.den), ("t", y.num - t * y.den)):
+        if diff.is_zero:
+            raise FixedSingularityError(f"y is identically {name}")
+
+
+def _pvi_numerator(t, P, Q, N1, N2, alpha, beta, gamma, delta, den=1):
+    """den times the difference of the two sides of Painleve VI for y = P/Q,
+    as its numerator over 2 t^2 (t-1)^2 Q^3 U V W (with U = P, V = P - Q,
+    W = P - t*Q), where alpha..delta are numerators over den.
+
+    N1 and N2 are the Wronskians of (P, Q) from ``_wronskians``.  The formula
+    is written once over any ring: ``MultiPoly``, ``Decimal`` and ``_Bound``
+    arguments all read it.  Every term is homogeneous of degree 6 in (P, Q).
+    """
+    U, V, W = P, P - Q, P - t * Q
     tt1 = t * (t - 1)
     UV, UW, VW = U * V, U * W, V * W
     UVW = UV * W
-    return tt1 * (
+    return den * tt1 * (
         tt1 * (2 * UVW * N2 - (N1 * N1) * (UV + UW + VW))
         + 2 * N1 * Q * UV * ((2 * t - 1) * W + tt1 * Q)
     ) - 2 * (
@@ -363,6 +391,180 @@ def pvi_residual(
             + delta * (tt1 * (UV * UV))
         )
     )
+
+
+class _Bound:
+    """A polynomial read as bounds: its degree in each pivot symbol (+ and -
+    take the max, * adds) and the l1 norm of its coefficients (+ and - add,
+    * multiplies).  A scalar c reads as degree 0 and norm |c|."""
+
+    __slots__ = ("deg", "norm")
+
+    def __init__(self, deg: Tuple[int, ...], norm: int):
+        self.deg = deg
+        self.norm = norm
+
+    def _lift(self, other) -> "_Bound":
+        if isinstance(other, _Bound):
+            return other
+        return _Bound((0,) * len(self.deg), abs(other))
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return _Bound(tuple(map(max, self.deg, o.deg)), self.norm + o.norm)
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return _Bound(tuple(map(add, self.deg, o.deg)), self.norm * o.norm)
+
+    __rmul__ = __mul__
+
+
+def _pivot_symbols(P: MultiPoly, Q: MultiPoly) -> Tuple[int, ...]:
+    """Ring indices of the pivot columns, t first, of the reduced row echelon
+    form of the span of e_t and the differences between exponents of P and Q.
+
+    Every monomial of the PVI numerator is a sum of six exponents of P or Q
+    shifted along t, so any two differ by a vector of this span.  A vector of
+    the span is fixed by its pivot coordinates, so setting every other symbol
+    to 1 merges no two monomials.
+    """
+    n = P.ring.nvars
+    it = P.ring.index("t")
+    cols = [it] + [i for i in range(n) if i != it]
+    exps = [[e[i] for i in cols] for e in itertools.chain(P.terms, Q.terms)]
+    rows: Dict[int, list] = {}  # leading column -> row, zero before it
+    for vec in [[1] + [0] * (n - 1)] + [list(map(sub, e, exps[0])) for e in exps[1:]]:
+        for lead in sorted(rows):
+            c = vec[lead]
+            if c:
+                row = rows[lead]
+                vec = [row[lead] * x - c * r for x, r in zip(vec, row)]
+        lead = next((j for j, x in enumerate(vec) if x), None)
+        if lead is not None:
+            rows[lead] = vec
+            if len(rows) == n:
+                break
+    return tuple(cols[j] for j in sorted(rows))
+
+
+def _digits(slots: Dict[int, int], k: int) -> Decimal:
+    """The sum of c * 10^(k*n) over {n: c} with 0 < c < 10^k, parsed from
+    its digit string in linear time.  ``str`` of a ``Decimal``, unlike that
+    of an int, has no digit limit."""
+    if not slots:
+        return Decimal(0)
+    zero = "0" * k
+    return Decimal(
+        "".join(
+            str(Decimal(slots[n])).zfill(k) if n in slots else zero
+            for n in range(max(slots), -1, -1)
+        )
+    )
+
+
+def _decimal_image(terms: Dict[tuple, int], strides: Sequence[int], k: int) -> Decimal:
+    """The sum of c * X^(e . strides) over {e: c}, X = 10^k, for |c| < X and
+    exponents e that the strides send to distinct powers of X."""
+    pos: Dict[int, int] = {}
+    neg: Dict[int, int] = {}
+    for e, c in terms.items():
+        (neg if c < 0 else pos)[sum(map(mul, e, strides))] = abs(c)
+    return _digits(pos, k) - _digits(neg, k)
+
+
+# Integer arithmetic on Decimal: a result wider than the precision or outside
+# the exponent range raises instead of rounding.
+_EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
+
+
+class _Image(NamedTuple):
+    """scale * R at the Kronecker point, for R the ``MultiPoly`` reading of
+    ``_pvi_numerator``; see the module docstring."""
+
+    value: Decimal
+    scale: Fraction  # L * lam^6
+    pivots: Tuple[int, ...]  # ring indices, t first
+    degrees: Tuple[int, ...]  # bound on the degree of R in each pivot
+    bound: int  # bound B on every coefficient of scale * R
+    digits: int  # k, with X = 10^k > 2B + 1
+
+
+def _pvi_image(P: MultiPoly, Q: MultiPoly, N1: MultiPoly, N2: MultiPoly, params) -> _Image:
+    """The PVI numerator of y = P/Q at the Kronecker point: 0 exactly when
+    the numerator vanishes, and computed without polynomial products."""
+    pivots = _pivot_symbols(P, Q)
+    # lam P and lam Q have coprime integer contents, so lam^2 N1 and lam^3 N2
+    # have integer coefficients too; L = den clears alpha..delta.
+    lam = Fraction(
+        lcm(P.content.denominator, Q.content.denominator),
+        gcd(P.content.numerator, Q.content.numerator),
+    )
+    den = lcm(*(a.denominator for a in params))
+    nums = [(den * a).numerator for a in params]
+    inputs = [
+        {
+            tuple(e[i] for i in pivots): (lam**k * F.content).numerator * c
+            for e, c in F.terms.items()
+        }
+        for F, k in ((P, 1), (Q, 1), (N1, 2), (N2, 3))
+    ]
+    zero = (0,) * len(pivots)
+    bounds = _pvi_numerator(
+        _Bound((1,) + zero[1:], 1),
+        *(
+            _Bound(tuple(max(col) for col in zip(zero, *terms)), sum(map(abs, terms.values())))
+            for terms in inputs
+        ),
+        *nums,
+        den,
+    )
+    strides, s = [], 1
+    for d in bounds.deg:
+        strides.append(s)
+        s *= d + 1
+    # The least k with 10^k above 2B + 1 and above every input coefficient.
+    top = max([2 * bounds.norm + 1] + [abs(c) for x in inputs for c in x.values()])
+    k = Decimal(top).adjusted() + 1
+    with localcontext(_EXACT):
+        value = _pvi_numerator(
+            Decimal(f"1e{k}"),
+            *(_decimal_image(terms, strides, k) for terms in inputs),
+            *nums,
+            den,
+        )
+    return _Image(value, den * lam**6, pivots, bounds.deg, bounds.norm, k)
+
+
+def pvi_residual(
+    y: RatFunc,
+    alpha: Fraction,
+    beta: Fraction,
+    gamma: Fraction,
+    delta: Fraction,
+) -> MultiPoly:
+    """Difference of the two sides of Painleve VI, as its numerator over
+    2 t^2 (t-1)^2 Q^3 U V W (with y = P/Q, U = P, V = P - Q, W = P - t*Q).
+
+    U, V and W are checked to be nonzero, so the residual vanishes exactly
+    when the returned numerator does.  A vanishing numerator is recognized
+    from its exact Kronecker image (``_pvi_image``) and returned as zero
+    without being built.
+    """
+    params = tuple(Fraction(x) for x in (alpha, beta, gamma, delta))
+    _reject_fixed_points(y)
+    P, Q = y.num, y.den
+    N1, N2 = _wronskians(P, Q)
+    if _pvi_image(P, Q, N1, N2, params).value == 0:
+        return y.ring.zero()
+    return _pvi_numerator(y.ring.var("t"), P, Q, N1, N2, *params)
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +629,14 @@ def solve_family(
         alpha, beta, gamma, delta = pvi_params(v)
         try:
             y = okamoto_y(sigma, v)
-            if y.num.is_zero or (y.num - y.den).is_zero or (
-                y.num - y.ring.var("t") * y.den
-            ).is_zero:
-                raise FixedSingularityError(
-                    "extracted y sits at a fixed singularity of the equation"
-                )
-        except (DegenerateBranchError, FixedSingularityError) as exc:
+            _reject_fixed_points(y)
+        except DegenerateBranchError as exc:
             degenerate.append((bid, str(exc)))
+            continue
+        except FixedSingularityError:
+            degenerate.append(
+                (bid, "extracted y sits at a fixed singularity of the equation")
+            )
             continue
         out.append(
             PainleveData(

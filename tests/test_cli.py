@@ -9,6 +9,7 @@ import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,35 @@ def test_solve_symbolic_output_matches_golden_digest(capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "68ac6fc8338fe55d67f79bfd79932cb6865e5fcfa9656829add482860d91171a"
     )
+
+
+# Frozen digest of the reference family's ``tauvi solve`` over all branches
+# with symbolic weights: 26 residual verdicts on images of up to a million
+# digits, and 26 split-gcd reductions in ``okamoto_y``.
+def test_solve_all_branches_symbolic_output_matches_golden_digest(capsys):
+    code, out, err = run(capsys, "solve", ARG_MU, ARG_NU, "--weights=sym")
+    assert code == EXIT_OK and err == ""
+    assert len(json.loads(out)["branches"]) == 26
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "119920bd7944eff5c2978da21c1b7318f96209a5555b6db24df992e3a39d57d5"
+    )
+
+
+# Negative control for the solve digests: the seed:3 weights read from a file
+# give the seed:3 digest, and the same file with one weight changed does not.
+def test_solve_digest_changes_with_a_perturbed_weight_file(tmp_path, capsys):
+    rows = parse_weights("seed:3").to_json()
+    digests = []
+    for entry in (rows[1][2], str(Fraction(rows[1][2]) + 1)):
+        rows[1][2] = entry
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(rows))
+        code, out, err = run(capsys, "solve", ARG_MU, ARG_NU, f"--weights=json:{path}")
+        assert code == EXIT_OK and err == ""
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert digests[0] == "f780ca48dfc8a0c0c807615552409c31ec4465508df79b38d70c86290a1ed543"
+    assert digests[1] != digests[0]
 
 
 # Frozen digest of a larger ``tauvi tau`` run with symbolic weights: its 16x16
@@ -451,6 +481,19 @@ def test_runs_on_the_standard_library_alone():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tauvi.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tauvi", "solve", ARG_MU, ARG_NU, "--weights=seed:3", "--branch=id"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert [b["branch"] for b in doc["branches"]] == ["0123++++"]
+    assert doc["branches"][0]["pvi_residual_zero"] is True
 
 
 def test_benchmark_tracer_targets_resolve():

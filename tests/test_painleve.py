@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+from decimal import Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tauvi.exactalg import MultiPoly, PolyRing, RatFunc, ZeroDenominator
+import tauvi.painleve as painleve
 from tauvi.painleve import (
     A_from_c,
     A_from_pvi,
@@ -432,6 +435,116 @@ def test_failed_residuals_on_symbolic_weights_run_no_gcd(golden, monkeypatch):
     assert not sigma_form_residual(sigma, data.v).is_zero
 
 
+# ---------------------------------------------------------------------------
+# the Kronecker image behind the PVI verdict
+# ---------------------------------------------------------------------------
+
+# Every generic family whose Schur matrix is at most 4x4: mu with distinct
+# entries, m1 <= 3 or m = (4,3,2), (4,3,1), and nu strictly inside the
+# support box.  Twelve families.
+SMALL_GENERIC = tuple(
+    (mu, nu)
+    for mu in ((-2, -1, 0), (-3, -1, 0), (-3, -2, 0), (-3, -2, -1), (-4, -3, -2), (-4, -3, -1))
+    for nu in itertools.product(range(min(mu) + 1, max(mu)), repeat=3)
+    if sum(nu) == sum(mu)
+)
+
+
+@pytest.fixture(scope="module")
+def numeric_results():
+    results = [
+        solve_family(normalize_params(mu, nu), WeightMatrix.random(3)) for mu, nu in SMALL_GENERIC
+    ]
+    assert len(results) == 12
+    assert sum(len(r.branches) for r in results) >= 100
+    return results
+
+
+def _perturbed(data, shift):
+    return tuple(p + s for p, s in zip((data.alpha, data.beta, data.gamma, data.delta), shift))
+
+
+def _kronecker_sum(R, image):
+    """scale * R at the image's Kronecker point, summed term by term, with
+    the strides a mixed radix over the image's degree bounds."""
+    strides, s = [], 1
+    for d in image.degrees:
+        strides.append(s)
+        s *= d + 1
+    total = Decimal(0)
+    with localcontext(painleve._EXACT):
+        for e, c in R.terms.items():
+            coeff = image.scale * R.content * c
+            assert coeff.denominator == 1
+            n = sum(e[i] * stride for i, stride in zip(image.pivots, strides))
+            total += Decimal(coeff.numerator).scaleb(image.digits * n)
+    return total
+
+
+def _assert_image_bounds_hold(y, params):
+    """On a residual that does not vanish, the bounds dominate what the
+    MultiPoly numerator actually has, and the image is its Kronecker sum."""
+    R = pvi_residual(y, *params)
+    assert not R.is_zero
+    image = painleve._pvi_image(y.num, y.den, *painleve._wronskians(y.num, y.den), params)
+    for i, d in zip(image.pivots, image.degrees):
+        assert max(e[i] for e in R.terms) <= d
+    assert max(abs(image.scale * R.content * c) for c in R.terms.values()) <= image.bound
+    assert 10**image.digits > 2 * image.bound + 1
+    assert _kronecker_sum(R, image) == image.value != 0
+
+
+# The numerator of a failed check costs about 1.2 s on flip13 and swap23, so
+# delta - 1 runs on id alone.
+@pytest.mark.parametrize(
+    "branch, shift",
+    [(b, (Fraction(1, 7), 0, 0, 0)) for b in GOLDEN_BRANCHES] + [("id", (0, 0, 0, -1))],
+)
+def test_image_bounds_hold_on_perturbed_symbolic_branches(golden, branch, shift):
+    data = {b.branch: b for b in golden.branches}[canonical_branch(branch)]
+    _assert_image_bounds_hold(data.y, _perturbed(data, shift))
+
+
+def test_image_bounds_hold_on_perturbed_numeric_branches(numeric_results):
+    for res in numeric_results:
+        for data in res.branches:
+            _assert_image_bounds_hold(data.y, _perturbed(data, (0, Fraction(1, 3), 0, 0)))
+
+
+# The image alone must decide: a nonzero image sends ``pvi_residual`` to the
+# MultiPoly numerator, which would hide an image that is wrongly nonzero.
+def test_image_verdict_matches_the_multipoly_numerator(numeric_results):
+    for res in numeric_results:
+        for data in res.branches:
+            y = data.y
+            N1, N2 = painleve._wronskians(y.num, y.den)
+            for shift in ((0, 0, 0, 0), (0, Fraction(1, 3), 0, 0)):
+                params = _perturbed(data, shift)
+                image = painleve._pvi_image(y.num, y.den, N1, N2, params)
+                numerator = painleve._pvi_numerator(y.ring.var("t"), y.num, y.den, N1, N2, *params)
+                assert (image.value == 0) == numerator.is_zero == (shift[1] == 0)
+                assert pvi_residual(y, *params).is_zero == numerator.is_zero
+
+
+def test_image_takes_coefficients_past_the_int_to_str_digit_limit():
+    # 6000-digit coefficients: int's str() refuses more than 4300 digits.
+    ring = PolyRing(("t", "w"))
+    t, w = ring.var("t"), ring.var("w")
+    big = 10**6000 + 7
+    y = RatFunc(big * t * w + 1, t - 3 * w)
+    pvi = (Fraction(1, 2), Fraction(-2), Fraction(2), Fraction(-3, 2))
+    old, uvw = _u2v2w2_numerator(y, *pvi)
+    assert old == pvi_residual(y, *pvi) * uvw != 0
+
+
+def test_image_under_low_precision_raises_instead_of_rounding(golden, monkeypatch):
+    low = Context(prec=50, Emax=painleve._EXACT.Emax, Emin=painleve._EXACT.Emin, traps=[Inexact, Rounded])
+    monkeypatch.setattr(painleve, "_EXACT", low)
+    data = golden.branches[0]
+    with pytest.raises((Inexact, Rounded)):
+        pvi_residual(data.y, data.alpha, data.beta, data.gamma, data.delta)
+
+
 def test_linear_sigma_satisfies_sigma_form():
     # sigma = t + 1 with v = (1, -1, 1, -1): both sides reduce to the constant
     # identity (p(2q+p) + e4)^2 = prod(p + vk^2) with p = q = 1.
@@ -475,6 +588,48 @@ def test_constant_sigma_with_zero_v3_is_degenerate():
     ring = _tring()
     with pytest.raises(DegenerateBranchError):
         okamoto_y(RatFunc(ring.const(1)), (1, -1, 0, 2))
+
+
+def _okamoto_y_by_one_gcd(sigma, v):
+    """Reference for ``okamoto_y``: y over 2 (sigma'+v3^2)(sigma'+v4^2),
+    reduced by one gcd against the whole product."""
+    v1, v2, v3, v4 = (Fraction(x) for x in v)
+    t = sigma.ring.var("t")
+    sp, sq = sigma.num, sigma.den
+    sd1, sd2 = painleve._wronskians(sp, sq)
+    sq2 = sq * sq
+    a_num = (sd1 + v3 * v3 * sq2) * (sd1 + v4 * v4 * sq2)
+    vs = (v1, v2, v3, v4)
+    e2 = sum(a * b for a, b in itertools.combinations(vs, 2))
+    e3 = sum(a * b * c for a, b, c in itertools.combinations(vs, 3))
+    b_num = t * (t - 1) * sd2 + sum(vs) * sd1 * sq - e3 * (sq * sq2)
+    c_num = 2 * t * sd1 - 2 * sp * sq - e2 * sq2
+    y_num = (v3 + v4) * b_num * sq + (sd1 - v3 * v4 * sq2) * c_num
+    return RatFunc(y_num, 2 * a_num)
+
+
+def _assert_split_gcd_matches_one_gcd(sigma, v):
+    try:
+        ref = _okamoto_y_by_one_gcd(sigma, v)
+    except ZeroDenominator:
+        with pytest.raises(DegenerateBranchError):
+            okamoto_y(sigma, v)
+        return
+    y = okamoto_y(sigma, v)
+    assert y.num == ref.num and y.den == ref.den
+
+
+def test_okamoto_y_split_gcd_matches_one_gcd(numeric_results, params6, wsym):
+    symbolic = solve_family(params6, wsym, branches=["id"])
+    for res in numeric_results + [symbolic]:
+        for b in distinct_branches(res.params):
+            _assert_split_gcd_matches_one_gcd(res.sigma, v_values(res.params, b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(*[fractions_st] * 4))
+def test_okamoto_y_split_gcd_matches_one_gcd_on_random_v(golden, v):
+    _assert_split_gcd_matches_one_gcd(golden.sigma, v)
 
 
 def test_every_branch_of_the_trivial_family_degenerates():
