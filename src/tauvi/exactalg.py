@@ -988,14 +988,19 @@ class RatFunc:
             raise SymbolMismatch("numerator and denominator rings differ")
         if den.is_zero:
             raise ZeroDenominator("zero denominator")
+        if not num.is_zero:
+            g = poly_gcd(num, den)
+            if not g.is_constant:
+                num = num.divexact(g)
+                den = den.divexact(g)
+        self._store(num, den)
+
+    def _store(self, num: MultiPoly, den: MultiPoly) -> None:
+        """Keep coprime num and den, scaled so that den is monic."""
         if num.is_zero:
             self.num = num.ring.zero()
             self.den = num.ring.one()
             return
-        g = poly_gcd(num, den)
-        if not g.is_constant:
-            num = num.divexact(g)
-            den = den.divexact(g)
         _, lc = den.leading()
         if lc != 1:
             inv = 1 / lc
@@ -1125,3 +1130,11 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.text()})"
+
+
+def _coprime_ratfunc(num: MultiPoly, den: MultiPoly) -> RatFunc:
+    """num/den for a nonzero den already coprime to num: ``RatFunc`` without
+    its gcd, which the caller's own argument makes redundant."""
+    out = RatFunc.__new__(RatFunc)
+    out._store(num, den)
+    return out

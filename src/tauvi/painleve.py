@@ -27,14 +27,17 @@ denominator, unreduced: the residual vanishes exactly when that
 :class:`~tauvi.exactalg.MultiPoly` does, so no gcd runs, not even when a
 check fails.
 
-The PVI check reaches its zero verdict without building that numerator R.
-One formula, written once over any ring, is read three ways: as degree and
-l1-norm bounds (``_Bound``), as an exact ``Decimal`` and as a ``MultiPoly``.
-With y = P/Q scaled to integer coefficients and R multiplied by the common
-denominator of alpha..delta, every symbol outside the pivots of the exponent
-lattice of P and Q is set to 1, which merges no two monomials of R; pivot i
-becomes X^(prod_{j<i}(d_j+1)) with X = 10^k > 2B+1, where d_j bounds the
-degree of R in pivot j and B bounds its coefficients (Kronecker
+Both checks reach their zero verdict without building that numerator R.
+Each residual's formula is written once over any ring and read three ways:
+as degree and l1-norm bounds (``_Bound``), as an exact ``Decimal`` and as a
+``MultiPoly``.  ``_image`` reads either formula the same way.  The quotient
+(y = P/Q for PVI, sigma = sp/sq for the sigma form) is scaled to integer
+coefficients, and R is multiplied by a power of the common denominator of
+its scalars (alpha..delta for PVI, e4 and the v_k^2 for the sigma form).
+Every symbol outside the pivots of the exponent lattice of the quotient's
+numerator and denominator is set to 1, which merges no two monomials of R;
+pivot i becomes X^(prod_{j<i}(d_j+1)) with X = 10^k > 2B+1, where d_j bounds
+the degree of R in pivot j and B bounds its coefficients (Kronecker
 substitution).  Distinct monomials of R then land on distinct powers of X
 with digits smaller than X, so the one integer this yields is 0 exactly when
 R is.  It is evaluated in a ``decimal`` context that traps on any rounding,
@@ -70,7 +73,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .exactalg import MultiPoly, RatFunc, poly_gcd
+from .exactalg import MultiPoly, RatFunc, _coprime_ratfunc, poly_gcd
 from .taudet import ScalingParams, TauFamily, WeightMatrix
 
 BRANCH_ALIASES = {
@@ -329,32 +332,14 @@ def okamoto_y(sigma: RatFunc, v: Sequence[Fraction]) -> RatFunc:
     y_num = (v3 + v4) * b_num * sq + (sd1 - v3 * v4 * sq2) * c_num
     # y = y_num / (2 f3 f4).  In a UFD gcd(Y, f3 f4) = g3 * gcd(Y/g3, f4) with
     # g3 = gcd(Y, f3), so two gcds against the factors replace one against
-    # their product, which has about twice the terms.
+    # their product, which has about twice the terms.  The quotient left is
+    # already reduced: Y/(g3 g4) divides Y/g3, which is coprime to f3/g3, and
+    # it is coprime to f4/g4 by the choice of g4.  So no prime divides both
+    # it and 2 (f3/g3)(f4/g4), and no third gcd runs.
     g3 = poly_gcd(y_num, f3)
     y_num = y_num.divexact(g3)
     g4 = poly_gcd(y_num, f4)
-    return RatFunc(y_num.divexact(g4), 2 * f3.divexact(g3) * f4.divexact(g4))
-
-
-def sigma_form_residual(sigma: RatFunc, v: Sequence[Fraction]) -> MultiPoly:
-    """sigma'(t(t-1)sigma'')^2 + (sigma'[2 sigma-(2t-1)sigma'] + e4)^2
-    - prod_k(sigma' + v_k^2), as its numerator over sq^8 (sq = sigma's
-    denominator); identically zero iff sigma solves the form."""
-    v1, v2, v3, v4 = (Fraction(x) for x in v)
-    ring = sigma.ring
-    t = ring.var("t")
-    sp, sq = sigma.num, sigma.den
-    sd1, sd2 = _wronskians(sp, sq)
-    sq2 = sq * sq
-    tt1 = t * (t - 1)
-    e4 = v1 * v2 * v3 * v4
-    term1 = sd1 * (tt1 * sd2) ** 2
-    inner = sd1 * (2 * sp * sq - (2 * t - 1) * sd1) + e4 * (sq2 * sq2)
-    term2 = inner * inner
-    term3 = ring.one()
-    for vk in (v1, v2, v3, v4):
-        term3 = term3 * (sd1 + vk * vk * sq2)
-    return term1 + term2 - term3
+    return _coprime_ratfunc(y_num.divexact(g4), 2 * f3.divexact(g3) * f4.divexact(g4))
 
 
 def _reject_fixed_points(y: RatFunc) -> None:
@@ -393,6 +378,23 @@ def _pvi_numerator(t, P, Q, N1, N2, alpha, beta, gamma, delta, den=1):
     )
 
 
+def _sigma_numerator(t, sp, sq, sd1, sd2, e4, w1, w2, w3, w4, den=1):
+    """den^4 times the residual of the sigma form for sigma = sp/sq, as its
+    numerator over sq^8, where e4 = v1 v2 v3 v4 and w_k = v_k^2 are
+    numerators over den.
+
+    sd1 and sd2 are the Wronskians of (sp, sq) from ``_wronskians``.  Like
+    ``_pvi_numerator`` the formula is written once over any ring.  Every term
+    is homogeneous of degree 8 in (sp, sq).
+    """
+    a = t * (t - 1) * sd2
+    sq2 = sq * sq
+    inner = den * (sd1 * (2 * sp * sq - (2 * t - 1) * sd1)) + e4 * (sq2 * sq2)
+    d1 = den * sd1
+    product = (d1 + w1 * sq2) * (d1 + w2 * sq2) * (d1 + w3 * sq2) * (d1 + w4 * sq2)
+    return den**4 * (sd1 * (a * a)) + den**2 * (inner * inner) - product
+
+
 class _Bound:
     """A polynomial read as bounds: its degree in each pivot symbol (+ and -
     take the max, * adds) and the l1 norm of its coefficients (+ and - add,
@@ -426,10 +428,11 @@ def _pivot_symbols(P: MultiPoly, Q: MultiPoly) -> Tuple[int, ...]:
     """Ring indices of the pivot columns, t first, of the reduced row echelon
     form of the span of e_t and the differences between exponents of P and Q.
 
-    Every monomial of the PVI numerator is a sum of six exponents of P or Q
-    shifted along t, so any two differ by a vector of this span.  A vector of
-    the span is fixed by its pivot coordinates, so setting every other symbol
-    to 1 merges no two monomials.
+    Every monomial of either residual's numerator is a sum of exponents of P
+    or Q (six for PVI, eight for the sigma form) shifted along t, so any two
+    differ by a vector of this span.  A vector of the span is fixed by its
+    pivot coordinates, so setting every other symbol to 1 merges no two
+    monomials.
     """
     n = P.ring.nvars
     it = P.ring.index("t")
@@ -487,37 +490,55 @@ _EXACT = Context(
 
 class _Image(NamedTuple):
     """scale * R at the Kronecker point, for R the ``MultiPoly`` reading of
-    ``_pvi_numerator``; see the module docstring."""
+    a residual's formula; see the module docstring."""
 
     value: Decimal
-    scale: Fraction  # L * lam^6
+    scale: Fraction  # den^den_power * lam^degree
     pivots: Tuple[int, ...]  # ring indices, t first
     degrees: Tuple[int, ...]  # bound on the degree of R in each pivot
     bound: int  # bound B on every coefficient of scale * R
     digits: int  # k, with X = 10^k > 2B + 1
 
 
-def _pvi_image(P: MultiPoly, Q: MultiPoly, N1: MultiPoly, N2: MultiPoly, params) -> _Image:
-    """The PVI numerator of y = P/Q at the Kronecker point: 0 exactly when
-    the numerator vanishes, and computed without polynomial products."""
+def _strides(degrees: Sequence[int]) -> List[int]:
+    """The mixed radix over degree bounds: pivot i steps by prod_{j<i}(d_j+1)."""
+    strides, s = [], 1
+    for d in degrees:
+        strides.append(s)
+        s *= d + 1
+    return strides
+
+
+def _width(top: int) -> int:
+    """The least k with 10^k > top."""
+    return Decimal(top).adjusted() + 1
+
+
+def _image(formula, P, Q, N1, N2, scalars, degree, den_power) -> _Image:
+    """scale * R at the Kronecker point, for R the numerator that
+    ``formula`` gives for the quotient P/Q: 0 exactly when R vanishes, and
+    computed without polynomial products.
+
+    ``formula(t, P, Q, N1, N2, *nums, den)`` takes the Wronskians N1, N2 of
+    (P, Q) from ``_wronskians`` and the rational ``scalars`` as integer
+    numerators over their common denominator den.  It must be homogeneous of
+    the given degree in (P, Q) and carry den to the power den_power.
+    """
     pivots = _pivot_symbols(P, Q)
     # lam P and lam Q have coprime integer contents, so lam^2 N1 and lam^3 N2
-    # have integer coefficients too; L = den clears alpha..delta.
+    # have integer coefficients too.
     lam = Fraction(
         lcm(P.content.denominator, Q.content.denominator),
         gcd(P.content.numerator, Q.content.numerator),
     )
-    den = lcm(*(a.denominator for a in params))
-    nums = [(den * a).numerator for a in params]
-    inputs = [
-        {
-            tuple(e[i] for i in pivots): (lam**k * F.content).numerator * c
-            for e, c in F.terms.items()
-        }
-        for F, k in ((P, 1), (Q, 1), (N1, 2), (N2, 3))
-    ]
+    den = lcm(*(a.denominator for a in scalars))
+    nums = [(den * a).numerator for a in scalars]
+    inputs = []
+    for F, w in ((P, 1), (Q, 1), (N1, 2), (N2, 3)):
+        m = (lam**w * F.content).numerator
+        inputs.append({tuple(e[i] for i in pivots): m * c for e, c in F.terms.items()})
     zero = (0,) * len(pivots)
-    bounds = _pvi_numerator(
+    bounds = formula(
         _Bound((1,) + zero[1:], 1),
         *(
             _Bound(tuple(max(col) for col in zip(zero, *terms)), sum(map(abs, terms.values())))
@@ -526,21 +547,18 @@ def _pvi_image(P: MultiPoly, Q: MultiPoly, N1: MultiPoly, N2: MultiPoly, params)
         *nums,
         den,
     )
-    strides, s = [], 1
-    for d in bounds.deg:
-        strides.append(s)
-        s *= d + 1
-    # The least k with 10^k above 2B + 1 and above every input coefficient.
-    top = max([2 * bounds.norm + 1] + [abs(c) for x in inputs for c in x.values()])
-    k = Decimal(top).adjusted() + 1
+    strides = _strides(bounds.deg)
+    # X must exceed 2B + 1 and every input coefficient, which _digits writes
+    # k digits wide.
+    k = _width(max([2 * bounds.norm + 1] + [abs(c) for x in inputs for c in x.values()]))
     with localcontext(_EXACT):
-        value = _pvi_numerator(
+        value = formula(
             Decimal(f"1e{k}"),
             *(_decimal_image(terms, strides, k) for terms in inputs),
             *nums,
             den,
         )
-    return _Image(value, den * lam**6, pivots, bounds.deg, bounds.norm, k)
+    return _Image(value, den**den_power * lam**degree, pivots, bounds.deg, bounds.norm, k)
 
 
 def pvi_residual(
@@ -555,16 +573,35 @@ def pvi_residual(
 
     U, V and W are checked to be nonzero, so the residual vanishes exactly
     when the returned numerator does.  A vanishing numerator is recognized
-    from its exact Kronecker image (``_pvi_image``) and returned as zero
-    without being built.
+    from its exact Kronecker image (``_image`` of ``_pvi_numerator``) and
+    returned as zero without being built.
     """
     params = tuple(Fraction(x) for x in (alpha, beta, gamma, delta))
     _reject_fixed_points(y)
     P, Q = y.num, y.den
     N1, N2 = _wronskians(P, Q)
-    if _pvi_image(P, Q, N1, N2, params).value == 0:
+    if _image(_pvi_numerator, P, Q, N1, N2, params, degree=6, den_power=1).value == 0:
         return y.ring.zero()
     return _pvi_numerator(y.ring.var("t"), P, Q, N1, N2, *params)
+
+
+def sigma_form_residual(sigma: RatFunc, v: Sequence[Fraction]) -> MultiPoly:
+    """sigma'(t(t-1)sigma'')^2 + (sigma'[2 sigma-(2t-1)sigma'] + e4)^2
+    - prod_k(sigma' + v_k^2), as its numerator over sq^8 (sq = sigma's
+    denominator); identically zero iff sigma solves the form.
+
+    The image of ``_sigma_numerator`` decides the verdict, as for
+    ``pvi_residual``: a sigma that solves the form returns the zero
+    polynomial without its degree-8 numerator being built, and only a
+    failing check builds it.
+    """
+    v1, v2, v3, v4 = (Fraction(x) for x in v)
+    scalars = (v1 * v2 * v3 * v4, v1 * v1, v2 * v2, v3 * v3, v4 * v4)
+    sp, sq = sigma.num, sigma.den
+    sd1, sd2 = _wronskians(sp, sq)
+    if _image(_sigma_numerator, sp, sq, sd1, sd2, scalars, degree=8, den_power=4).value == 0:
+        return sigma.ring.zero()
+    return _sigma_numerator(sigma.ring.var("t"), sp, sq, sd1, sd2, *scalars)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from tauvi.eulertop import conserved_from_family, init_from_tau, integrate, monitor
 from tauvi.exactalg import PolyRing
-from tauvi.fockoracle import tau_oracle
+from tauvi.fockoracle import build_G_vacuum, tau_from_G, tau_oracle
 from tauvi.painleve import (
     A_from_c,
     A_from_pvi,
@@ -212,6 +212,69 @@ def test_criterion_4_three_way_tau_agreement():
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     _verdict(f"criterion 4 (three-way agreement, {cases} cases)", elapsed, 120.0)
+
+
+def _three_way_disagreements_at_m1_4(oracle_weights, route_e=tau_from_E, m23=None):
+    """(m, nu) of every support case with m1 = 4 where the oracle, read from
+    one G|0> per triple, and the two determinant routes do not all agree,
+    and the number of cases compared."""
+    weights = WeightMatrix.symbolic()
+    order = 2
+    ring = PolyRing(WEIGHT_SYMBOLS + time_symbols(order))
+    u = TimeVector.symbolic(ring, order)
+    m1 = 4
+    bad, cases = [], 0
+    for m2, m3 in m23 or [(m2, m3) for m2 in range(m1 + 1) for m3 in range(m2 + 1)]:
+        params = normalize_params((-m1, -m2, -m3), (-m1, -m2, -m3))
+        G = build_G_vacuum(params, oracle_weights, u, ring)
+        for n1 in range(-m1, -m3 + 1):
+            for n2 in range(-m1, -m3 + 1):
+                n3 = -(m1 + m2 + m3) - n1 - n2
+                if not -m1 <= n3 <= -m3:
+                    continue
+                nu = (n1, n2, n3)
+                via_oracle = tau_from_G(G, nu, ring)
+                via_e = route_e(params, weights, u, ring, nu=nu)
+                via_a = tau_from_A(params, weights, u, ring, nu=nu)
+                if not via_oracle == via_e == via_a:
+                    bad.append((params.m, nu))
+                cases += 1
+    return bad, cases
+
+
+def test_three_way_tau_agreement_at_m1_4():
+    start = time.monotonic()
+    bad, cases = _three_way_disagreements_at_m1_4(WeightMatrix.symbolic())
+    assert bad == []
+    assert cases == 155
+    elapsed = time.monotonic() - start
+    assert elapsed < 60.0
+    _verdict(f"three-way agreement at m1 = 4 ({cases} cases)", elapsed, 60.0)
+
+
+class _ShiftedWeight(WeightMatrix):
+    """Symbolic weights with w12 read as w12 + 1."""
+
+    def entry(self, a, b, ring):
+        entry = super().entry(a, b, ring)
+        return entry + 1 if (a, b) == (1, 2) else entry
+
+
+def test_three_way_check_at_m1_4_catches_a_perturbed_weight():
+    bad, cases = _three_way_disagreements_at_m1_4(
+        _ShiftedWeight.symbolic(), m23=[(2, 1)]
+    )
+    assert cases > 0 and bad
+
+
+def test_three_way_check_at_m1_4_catches_a_flipped_route_sign():
+    def flipped_e(*args, **kwargs):
+        return -tau_from_E(*args, **kwargs)
+
+    bad, cases = _three_way_disagreements_at_m1_4(
+        WeightMatrix.symbolic(), route_e=flipped_e, m23=[(2, 1)]
+    )
+    assert len(bad) == cases > 0
 
 
 def test_criterion_5_tau_property_suite(params6, wsym):

@@ -436,7 +436,7 @@ def test_failed_residuals_on_symbolic_weights_run_no_gcd(golden, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the Kronecker image behind the PVI verdict
+# the Kronecker image behind both residual verdicts
 # ---------------------------------------------------------------------------
 
 # Every generic family whose Schur matrix is at most 4x4: mu with distinct
@@ -464,6 +464,31 @@ def _perturbed(data, shift):
     return tuple(p + s for p, s in zip((data.alpha, data.beta, data.gamma, data.delta), shift))
 
 
+def _pvi_image(y, params):
+    P, Q = y.num, y.den
+    return painleve._image(
+        painleve._pvi_numerator, P, Q, *painleve._wronskians(P, Q), params, degree=6, den_power=1
+    )
+
+
+def _sigma_scalars(v):
+    v1, v2, v3, v4 = (Fraction(x) for x in v)
+    return (v1 * v2 * v3 * v4, v1 * v1, v2 * v2, v3 * v3, v4 * v4)
+
+
+def _sigma_image(sigma, v):
+    sp, sq = sigma.num, sigma.den
+    return painleve._image(
+        painleve._sigma_numerator,
+        sp,
+        sq,
+        *painleve._wronskians(sp, sq),
+        _sigma_scalars(v),
+        degree=8,
+        den_power=4,
+    )
+
+
 def _kronecker_sum(R, image):
     """scale * R at the image's Kronecker point, summed term by term, with
     the strides a mixed radix over the image's degree bounds."""
@@ -481,17 +506,23 @@ def _kronecker_sum(R, image):
     return total
 
 
-def _assert_image_bounds_hold(y, params):
-    """On a residual that does not vanish, the bounds dominate what the
-    MultiPoly numerator actually has, and the image is its Kronecker sum."""
-    R = pvi_residual(y, *params)
+def _assert_image_bounds_hold(R, image):
+    """On a residual R that does not vanish, the image's bounds dominate
+    what R actually has, and the image is its Kronecker sum."""
     assert not R.is_zero
-    image = painleve._pvi_image(y.num, y.den, *painleve._wronskians(y.num, y.den), params)
     for i, d in zip(image.pivots, image.degrees):
         assert max(e[i] for e in R.terms) <= d
     assert max(abs(image.scale * R.content * c) for c in R.terms.values()) <= image.bound
     assert 10**image.digits > 2 * image.bound + 1
     assert _kronecker_sum(R, image) == image.value != 0
+
+
+def _assert_pvi_image_bounds_hold(y, params):
+    _assert_image_bounds_hold(pvi_residual(y, *params), _pvi_image(y, params))
+
+
+def _assert_sigma_image_bounds_hold(sigma, v):
+    _assert_image_bounds_hold(sigma_form_residual(sigma, v), _sigma_image(sigma, v))
 
 
 # The numerator of a failed check costs about 1.2 s on flip13 and swap23, so
@@ -502,13 +533,13 @@ def _assert_image_bounds_hold(y, params):
 )
 def test_image_bounds_hold_on_perturbed_symbolic_branches(golden, branch, shift):
     data = {b.branch: b for b in golden.branches}[canonical_branch(branch)]
-    _assert_image_bounds_hold(data.y, _perturbed(data, shift))
+    _assert_pvi_image_bounds_hold(data.y, _perturbed(data, shift))
 
 
 def test_image_bounds_hold_on_perturbed_numeric_branches(numeric_results):
     for res in numeric_results:
         for data in res.branches:
-            _assert_image_bounds_hold(data.y, _perturbed(data, (0, Fraction(1, 3), 0, 0)))
+            _assert_pvi_image_bounds_hold(data.y, _perturbed(data, (0, Fraction(1, 3), 0, 0)))
 
 
 # The image alone must decide: a nonzero image sends ``pvi_residual`` to the
@@ -520,7 +551,7 @@ def test_image_verdict_matches_the_multipoly_numerator(numeric_results):
             N1, N2 = painleve._wronskians(y.num, y.den)
             for shift in ((0, 0, 0, 0), (0, Fraction(1, 3), 0, 0)):
                 params = _perturbed(data, shift)
-                image = painleve._pvi_image(y.num, y.den, N1, N2, params)
+                image = _pvi_image(y, params)
                 numerator = painleve._pvi_numerator(y.ring.var("t"), y.num, y.den, N1, N2, *params)
                 assert (image.value == 0) == numerator.is_zero == (shift[1] == 0)
                 assert pvi_residual(y, *params).is_zero == numerator.is_zero
@@ -543,6 +574,124 @@ def test_image_under_low_precision_raises_instead_of_rounding(golden, monkeypatc
     data = golden.branches[0]
     with pytest.raises((Inexact, Rounded)):
         pvi_residual(data.y, data.alpha, data.beta, data.gamma, data.delta)
+    with pytest.raises((Inexact, Rounded)):
+        sigma_form_residual(golden.sigma, data.v)
+
+
+# -- the same image behind the sigma-form verdict -----------------------------
+
+
+def _old_sigma_residual(sigma, v):
+    """Reference for ``sigma_form_residual``: the sigma form's numerator over
+    sq^8, built term by term as a MultiPoly."""
+    v1, v2, v3, v4 = (Fraction(x) for x in v)
+    ring = sigma.ring
+    t = ring.var("t")
+    sp, sq = sigma.num, sigma.den
+    sd1, sd2 = painleve._wronskians(sp, sq)
+    sq2 = sq * sq
+    tt1 = t * (t - 1)
+    e4 = v1 * v2 * v3 * v4
+    term1 = sd1 * (tt1 * sd2) ** 2
+    inner = sd1 * (2 * sp * sq - (2 * t - 1) * sd1) + e4 * (sq2 * sq2)
+    term2 = inner * inner
+    term3 = ring.one()
+    for vk in (v1, v2, v3, v4):
+        term3 = term3 * (sd1 + vk * vk * sq2)
+    return term1 + term2 - term3
+
+
+def _shifted_v(v, shift):
+    return tuple(x + s for x, s in zip(v, shift))
+
+
+@pytest.mark.parametrize("shift", [(Fraction(1, 7), 0, 0, 0), (0, 0, 0, -1)])
+def test_sigma_image_bounds_hold_on_perturbed_symbolic_branches(golden, shift):
+    for data in golden.branches:
+        _assert_sigma_image_bounds_hold(golden.sigma, _shifted_v(data.v, shift))
+
+
+def test_sigma_image_bounds_hold_on_perturbed_numeric_branches(numeric_results):
+    for res in numeric_results:
+        for data in res.branches:
+            _assert_sigma_image_bounds_hold(res.sigma, _shifted_v(data.v, (Fraction(1, 3), 0, 0, 0)))
+
+
+def test_sigma_image_verdict_matches_the_multipoly_numerator(numeric_results):
+    for res in numeric_results:
+        sp, sq = res.sigma.num, res.sigma.den
+        sd1, sd2 = painleve._wronskians(sp, sq)
+        t = res.sigma.ring.var("t")
+        for data in res.branches:
+            for shift in ((0, 0, 0, 0), (Fraction(1, 3), 0, 0, 0)):
+                v = _shifted_v(data.v, shift)
+                numerator = painleve._sigma_numerator(t, sp, sq, sd1, sd2, *_sigma_scalars(v))
+                assert (_sigma_image(res.sigma, v).value == 0) == numerator.is_zero == (shift[0] == 0)
+                assert sigma_form_residual(res.sigma, v).is_zero == numerator.is_zero
+
+
+def test_failed_sigma_check_returns_the_old_numerator(golden, numeric_results):
+    t = golden.sigma.ring.var("t")
+    v = golden.branches[0].v
+    cases = [(golden.sigma + RatFunc(t**2), v), (golden.sigma, _shifted_v(v, (0, 0, 0, -1)))]
+    for res in numeric_results[:4]:
+        for data in res.branches:
+            cases.append((res.sigma, _shifted_v(data.v, (Fraction(1, 3), 0, 0, 0))))
+    for sigma, v in cases:
+        old = _old_sigma_residual(sigma, v)
+        assert not old.is_zero
+        assert sigma_form_residual(sigma, v) == old
+
+
+_sigma_ring = PolyRing(("t", "w"))
+_sigma_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)), fractions_st, max_size=4
+).map(lambda terms: MultiPoly(_sigma_ring, terms))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_sigma_polys, _sigma_polys, st.tuples(*[fractions_st] * 4))
+def test_sigma_residual_matches_the_old_numerator_on_random_sigma(p, q, v):
+    assume(not q.is_zero)
+    sigma = RatFunc(p, q)
+    assert sigma_form_residual(sigma, v) == _old_sigma_residual(sigma, v)
+
+
+# -- k and the strides decide a verdict ---------------------------------------
+
+
+def _difference(t, P, Q, N1, N2, den):
+    """P - t Q: a formula of degree 1 with no scalars."""
+    return P - t * Q
+
+
+def _difference_image(P, Q):
+    N1, N2 = painleve._wronskians(P, Q)
+    return painleve._image(_difference, P, Q, N1, N2, (), degree=1, den_power=0)
+
+
+def test_one_digit_less_reads_a_nonzero_image_as_zero(monkeypatch):
+    # R = c - t with c = 10^6: B = c + 1, so k = 7 and R(10^7) != 0, but the
+    # digit c cancels the carry of t read at 10^6.
+    ring = PolyRing(("t",))
+    P, Q = ring.const(10**6), ring.one()
+    image = _difference_image(P, Q)
+    assert image.digits == 7 and image.value != 0
+    width = painleve._width
+    monkeypatch.setattr(painleve, "_width", lambda top: width(top) - 1)
+    assert _difference_image(P, Q).value == 0
+
+
+def test_one_stride_less_reads_a_nonzero_image_as_zero(monkeypatch):
+    # R = w - t with pivots (t, w) and strides (1, 2): t and w land on X and
+    # X^2.  A stride of 1 for w puts both on X, where they cancel.
+    ring = PolyRing(("t", "w"))
+    P, Q = ring.var("w"), ring.one()
+    image = _difference_image(P, Q)
+    assert image.pivots == (0, 1) and image.degrees == (1, 1) and image.value != 0
+    strides = painleve._strides
+    monkeypatch.setattr(painleve, "_strides", lambda d: [s - (i == 1) for i, s in enumerate(strides(d))])
+    assert _difference_image(P, Q).value == 0
 
 
 def test_linear_sigma_satisfies_sigma_form():
