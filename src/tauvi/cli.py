@@ -221,6 +221,8 @@ def cmd_oracle(args) -> int:
     from .taudet import WEIGHT_SYMBOLS, tau_from_A, tau_from_E
 
     params, weights = _config(args)
+    if args.order < 1:
+        raise ValueError(f"--order must be at least 1, got {args.order}")
     if params.m[0] > args.max_m1:
         raise ValueError(
             f"oracle refused: m1 = {params.m[0]} exceeds --max-m1 = {args.max_m1} "

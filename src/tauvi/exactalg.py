@@ -20,7 +20,8 @@ and terms.  This is the content-times-primitive layout of FLINT's
 * a sum brings both integer parts over the gcd of the contents and divides
   out the integer gcd of the result;
 * an exact quotient of primitive polynomials is primitive, so exact division
-  runs on the integer parts, where a remainder proves the division inexact.
+  runs on the integer parts, where a remainder proves the division inexact;
+  a one-term divisor has integer part +-1 and divides in one pass.
 
 A product whose smaller operand has at least ``_PACK_MIN_TERMS`` terms is
 multiplied over packed exponents (Monagan & Pearce's packed exponent
@@ -436,12 +437,31 @@ class MultiPoly:
     # -- exact division -----------------------------------------------------
 
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact division; raises InexactDivision if not divisible."""
+        """Exact division; raises InexactDivision if not divisible.
+
+        The quotient's terms come out in descending graded-lex order.  A
+        divisor of several terms runs Monagan & Pearce's heap division.  A
+        one-term divisor needs no heap: its integer part is +-1, because it
+        is primitive, so one pass over the dividend's terms in that order
+        subtracts its exponent from each and fails on the first that goes
+        negative.  On the tau matrices, nearly every pivot that Bareiss
+        divides by has one term.
+        """
         d = self._coerce(divisor)
         if d is None or d.is_zero:
             raise InexactDivision("division by zero polynomial")
         if self.is_zero:
             return self.ring.zero()
+        if len(d.terms) == 1:
+            [(dexp, dc)] = d.terms.items()
+            q = {}
+            for exp in sorted(self.terms, key=_grlex_key, reverse=True):
+                qexp = tuple(map(_sub, exp, dexp))
+                if min(qexp, default=0) < 0:
+                    raise InexactDivision(f"remainder term at exponent {exp}")
+                c = self.terms[exp]
+                q[qexp] = c if dc == 1 else -c
+            return _raw_poly(self.ring, self.content / d.content, q)
         dexp = max(d.terms, key=_grlex_key)
         dc = d.terms[dexp]
         rem = dict(self.terms)
@@ -889,8 +909,11 @@ def fraction_free_det(rows: Sequence[Sequence[MultiPoly]], ring: PolyRing = None
     by one row swap and one column swap.  The step multiplies every trailing
     entry by the pivot and the next one divides by it exactly, so on symbolic
     entries a one-term pivot is far cheaper than the first nonzero entry of
-    the column, which is often a dense polynomial.  The determinant is
-    unique, so the pivot order changes only the cost.
+    the column, which is often a dense polynomial, and ``divexact`` divides
+    by a one-term divisor in one pass.  The determinant is unique, so the
+    pivot order changes only the cost.  An update whose two products are
+    both zero leaves a zero entry and is skipped, with no multiply and no
+    division.
     """
     n = len(rows)
     if n == 0:
@@ -954,12 +977,15 @@ def fraction_free_det(rows: Sequence[Sequence[MultiPoly]], ring: PolyRing = None
             for r in m:
                 r[col], r[pj] = r[pj], r[col]
             sign = -sign
-        pivot = m[col][col]
+        pivot, pivot_row = m[col][col], m[col]
         for i in range(col + 1, k):
+            row = m[i]
+            lead = row[col]
             for j in range(col + 1, k):
-                num = m[i][j] * pivot - m[i][col] * m[col][j]
-                m[i][j] = num.divexact(prev)
-            m[i][col] = ring.zero()
+                if row[j].terms or lead.terms and pivot_row[j].terms:
+                    num = row[j] * pivot - lead * pivot_row[j]
+                    row[j] = num.divexact(prev)
+            row[col] = ring.zero()
         prev = pivot
     det = prefactor * m[k - 1][k - 1]
     return det if sign > 0 else -det

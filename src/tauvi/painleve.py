@@ -455,17 +455,19 @@ def _pivot_symbols(P: MultiPoly, Q: MultiPoly) -> Tuple[int, ...]:
 
 def _digits(slots: Dict[int, int], k: int) -> Decimal:
     """The sum of c * 10^(k*n) over {n: c} with 0 < c < 10^k, parsed from
-    its digit string in linear time.  ``str`` of a ``Decimal``, unlike that
-    of an int, has no digit limit."""
+    its digit string in linear time.  Each run of empty slots is written as
+    one string of zeros.  ``str`` of a ``Decimal``, unlike that of an int,
+    has no digit limit."""
     if not slots:
         return Decimal(0)
-    zero = "0" * k
-    return Decimal(
-        "".join(
-            str(Decimal(slots[n])).zfill(k) if n in slots else zero
-            for n in range(max(slots), -1, -1)
-        )
-    )
+    parts = []
+    above = max(slots) + 1  # the lowest slot written so far
+    for n in sorted(slots, reverse=True):
+        parts.append("0" * (k * (above - n - 1)))
+        parts.append(str(Decimal(slots[n])).zfill(k))
+        above = n
+    parts.append("0" * (k * above))
+    return Decimal("".join(parts))
 
 
 def _decimal_image(terms: Dict[tuple, int], strides: Sequence[int], k: int) -> Decimal:

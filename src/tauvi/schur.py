@@ -10,12 +10,16 @@ entries may be exact rationals or :class:`~tauvi.exactalg.MultiPoly` from a
 common ring, so the same code serves numeric and symbolic callers.
 
 A :class:`TimeVector` bundles the three time sequences u^(1), u^(2), u^(3) of
-the three-component hierarchy, truncated at a chosen order.
+the three-component hierarchy, truncated at a chosen order.  It also holds
+the one table of S_n that every tau matrix over those times reads:
+``TimeVector.schur`` memoizes S_n of each component u^(a) and of each
+difference u^(a) - u^(b), so the matrices of all charge vectors of a family
+compute each S_n once.  The table lives as long as the vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
@@ -67,6 +71,8 @@ class TimeVector:
     u1: Tuple[Entry, ...]
     u2: Tuple[Entry, ...]
     u3: Tuple[Entry, ...]
+    # (a, b) -> the sequence u^(a) (b is None) or u^(a) - u^(b), and its S_n.
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u1", tuple(self.u1))
@@ -85,6 +91,18 @@ class TimeVector:
     def diff(self, a: int, b: int) -> tuple:
         """u^(a) - u^(b)."""
         return sequence_diff(self.component(a), self.component(b))
+
+    def schur(self, n: int, a: int, b: int = None):
+        """S_n of u^(a), or of u^(a) - u^(b) when ``b`` is given; computed
+        once per vector by :func:`elementary_schur` and then read back."""
+        table = self._tables.get((a, b))
+        if table is None:
+            seq = self.component(a) if b is None else self.diff(a, b)
+            table = self._tables[(a, b)] = (seq, {})
+        seq, values = table
+        if n not in values:
+            values[n] = elementary_schur(n, seq)
+        return values[n]
 
     @classmethod
     def symbolic(cls, ring: PolyRing, order: int) -> "TimeVector":

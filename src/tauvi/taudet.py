@@ -20,6 +20,11 @@ Three equivalent constructions of the same tau function are provided:
   individual time sequences, whose signed determinant equals the signed
   determinant of E.
 
+Both builders read S_n through ``TimeVector.schur``, so every matrix built
+over one time vector shares one Schur table: ``tauvi oracle`` builds E and A
+of every support charge over one symbolic vector, and ``TauFamily`` builds T
+of every charge over one ``t_times`` vector.
+
 Row/column indices below follow the 1-based conventions of the defining
 formulas; the ``add`` that ``_zero_matrix`` returns translates to 0-based
 storage.  Entries that the formulas address multiple times accumulate
@@ -43,7 +48,7 @@ from .exactalg import (
     RatFunc,
     fraction_free_det,
 )
-from .schur import TimeVector, elementary_schur
+from .schur import TimeVector
 
 WEIGHT_SYMBOLS = ("w12", "w22", "w32", "w13", "w23", "w33")
 
@@ -243,18 +248,6 @@ def _zero_matrix(size: int, ring: PolyRing):
     return rows, add
 
 
-def _schur_of(seq):
-    """Memoized n -> S_n(seq)."""
-    cache = {}
-
-    def schur(n):
-        if n not in cache:
-            cache[n] = elementary_schur(n, seq)
-        return cache[n]
-
-    return schur
-
-
 def _column_blocks(m):
     """(b, m_b, first column - 1, column count) of weight column b = 3, then 2."""
     m1, m2, m3 = m
@@ -276,7 +269,6 @@ def build_E(
     n1, _, n3 = nu
     size = 2 * m1 - m2 - m3
     rows, add = _zero_matrix(size, ring)
-    schur = {2: _schur_of(u.diff(2, 1)), 3: _schur_of(u.diff(3, 1))}
     for b, mb, col0, count in _column_blocks(params.m):
         for j in range(1, min(m1 + n1, count) + 1):
             add(size - j + 1, col0 + count - j + 1, weights.entry(1, b, ring))
@@ -285,8 +277,13 @@ def build_E(
                 for j in range(1, m1 + nu[a - 1] + 1):
                     n = j - mb - nu[a - 1] - i
                     if n >= 0:
-                        add(row0 + j, col0 + i, weights.entry(a, b, ring) * schur[a](n))
+                        add(row0 + j, col0 + i, weights.entry(a, b, ring) * u.schur(n, a, 1))
     return rows
+
+
+def t_times(ring: PolyRing) -> TimeVector:
+    """The times u1 = 0, u2 = t, u3 = 1 at which E becomes T."""
+    return TimeVector((Fraction(0),), (ring.var("t"),), (ring.one(),))
 
 
 def build_T(
@@ -298,9 +295,7 @@ def build_T(
     """E specialized to u2-u1 = (t, 0, ...), u3-u1 = (1, 0, ...)."""
     if ring is None:
         ring = tau_ring(weights)
-    t = ring.var("t")
-    u = TimeVector((Fraction(0),), (t,), (ring.one(),))
-    return build_E(params, weights, u, ring, nu=nu)
+    return build_E(params, weights, t_times(ring), ring, nu=nu)
 
 
 def build_A(
@@ -319,7 +314,6 @@ def build_A(
     size = 3 * p
     rows, add = _zero_matrix(size, ring)
     nu_parity = sum(nu)
-    schur = {a: _schur_of(u.component(a)) for a in (1, 2, 3)}
     for b, mb, col0, count in _column_blocks(params.m):
         for i in range(1, count + 1):
             for a in (1, 2, 3):
@@ -327,7 +321,7 @@ def build_A(
                 for j in range(0, m1 + nu[a - 1]):
                     n = j - mb - nu[a - 1] - i + 1
                     if n >= 0:
-                        add(3 * j + 4 - a, col0 + i, fa * schur[a](n))
+                        add(3 * j + 4 - a, col0 + i, fa * u.schur(n, a))
     col = 2 * m1 - m2 - m3
     one = ring.one()
     for a in (1, 2, 3):
@@ -365,18 +359,23 @@ def tau_from_A(params, weights, u, ring, nu=None):
 
 
 class TauFamily:
-    """All charge vectors of one (mu, nu) family over a fixed weight matrix."""
+    """All charge vectors of one (mu, nu) family over a fixed weight matrix.
+
+    Every T matrix is built over one ``t_times`` vector, so ``tau0`` and the
+    charge-shifted determinants of ``rotation_beta`` share its Schur table.
+    """
 
     def __init__(self, params: ScalingParams, weights: WeightMatrix):
         self.params = params
         self.weights = weights
         self.ring = tau_ring(weights)
+        self._times = t_times(self.ring)
         self._dets = {}
 
     def det_T(self, nu=None) -> MultiPoly:
         nu = _charge(self.params, nu)
         if nu not in self._dets:
-            mat = build_T(self.params, self.weights, self.ring, nu=nu)
+            mat = build_E(self.params, self.weights, self._times, self.ring, nu=nu)
             if mat is None:
                 self._dets[nu] = self.ring.zero()
             else:

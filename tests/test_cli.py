@@ -357,6 +357,18 @@ def test_oracle_requires_symbolic_weights(capsys):
     assert "sym" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_oracle_order_below_one_exits_usage(capsys, order):
+    # Order 0 leaves no time variables, so every route would read 0 and
+    # "agree": true would check nothing.
+    code, out, err = run(
+        capsys, "oracle", "--mu=-3,-1,0", "--nu=-2,-1,-1", f"--order={order}"
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--order" in err
+
+
 def test_oracle_negative_control(capsys, monkeypatch):
     import tauvi.taudet as taudet_mod
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from random import Random
 
@@ -166,9 +167,13 @@ _polys = st.builds(
 
 
 def _assert_canonical(p: MultiPoly):
+    _assert_canonical_in(p, XY)
+
+
+def _assert_canonical_in(p: MultiPoly, ring: PolyRing):
     assert isinstance(p.content, Fraction)
     if not p.terms:
-        assert p.content == 0 and p == XY.zero()
+        assert p.content == 0 and p == ring.zero()
         return
     assert p.content > 0
     assert all(type(c) is int and c != 0 for c in p.terms.values())
@@ -312,6 +317,83 @@ def test_divexact_rejects_inexact():
     x, y = XY.var("x"), XY.var("y")
     with pytest.raises(InexactDivision):
         (x**2 + y).divexact(x + 1)
+
+
+def _heap_quotient(a: dict, d: dict) -> dict:
+    """Monagan & Pearce heap division of integer parts ``a / d``: the
+    reference for the one-term divisor pass.  Pops remainder terms in
+    descending graded-lex order; raises InexactDivision on a remainder."""
+
+    def entry(exp):
+        return (-sum(exp), tuple(-e for e in exp), exp)
+
+    dexp = max(d, key=lambda e: (sum(e), e))
+    rem = dict(a)
+    heap = [entry(exp) for exp in rem]
+    heapify(heap)
+    q: dict = {}
+    while heap:
+        rexp = heappop(heap)[2]
+        if rexp not in rem:
+            continue
+        qexp = tuple(x - y for x, y in zip(rexp, dexp))
+        qc, r = divmod(rem[rexp], d[dexp])
+        if r or min(qexp) < 0:
+            raise InexactDivision(f"remainder term at exponent {rexp}")
+        q[qexp] = qc
+        for exp, c in d.items():
+            key = tuple(x + y for x, y in zip(qexp, exp))
+            s = rem.get(key, 0) - qc * c
+            if s:
+                if key not in rem:
+                    heappush(heap, entry(key))
+                rem[key] = s
+            else:
+                del rem[key]
+    return q
+
+
+_one_term = st.builds(
+    lambda exp, c: MultiPoly(XYZW, {exp: c}),
+    st.tuples(*[st.integers(0, 2)] * 4),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(-6, 7), Fraction(3**40, 11)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * 4), _rationals, max_size=12),
+    _one_term,
+    st.booleans(),
+)
+def test_one_term_divexact_matches_heap_division(terms, d, multiply):
+    # Half the dividends are multiples of d, so that most divisions are exact;
+    # the rest are arbitrary and usually fail on an exponent.
+    a = MultiPoly(XYZW, terms)
+    if multiply:
+        a = a * d
+    try:
+        want = _heap_quotient(a.terms, d.terms)
+    except InexactDivision:
+        with pytest.raises(InexactDivision):
+            a.divexact(d)
+        return
+    q = a.divexact(d)
+    # Same quotient, and the same key order: eval_float sums in that order.
+    assert list(q.terms.items()) == list(want.items())
+    assert q.content == (a.content / d.content if want else 0)
+    if multiply:
+        assert q == MultiPoly(XYZW, terms)
+    _assert_canonical_in(q, XYZW)
+
+
+def test_one_term_divexact_rejects_inexact():
+    x, y = XY.var("x"), XY.var("y")
+    with pytest.raises(InexactDivision):
+        x.divexact(y)  # the quotient would have the exponent -1 in y
+    with pytest.raises(InexactDivision):
+        (x * y).divexact(x**2)  # too small a degree in x
+    assert (6 * x**2 * y).divexact(-4 * x) == Fraction(-3, 2) * x * y
 
 
 def test_gcd_of_common_factor_products():
@@ -587,6 +669,35 @@ def test_det_pivots_on_the_sparsest_trailing_entry(monkeypatch, at):
     assert not det.is_zero
     assert det == _cofactor_det(rows, XYZ)
     assert pivot == p
+
+
+def test_det_skips_updates_whose_products_are_all_zero(monkeypatch):
+    # A tridiagonal matrix has no line with a single entry, so all of it
+    # reaches Bareiss, and most of its trailing updates multiply zeros.
+    x, y, z = (XYZ.var(s) for s in XYZ.symbols)
+    n = 6
+    rows = [[XYZ.zero()] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = x + y + i
+        if i + 1 < n:
+            rows[i][i + 1] = z * (i + 1)
+            rows[i + 1][i] = x * y - i
+    dividends = []
+    divexact = MultiPoly.divexact
+
+    def recording(self, divisor):
+        dividends.append(self)
+        return divexact(self, divisor)
+
+    monkeypatch.setattr(MultiPoly, "divexact", recording)
+    det = fraction_free_det(rows)
+    monkeypatch.undo()
+    assert det == _cofactor_det(rows, XYZ)
+    assert not det.is_zero
+    # Every division has a nonzero dividend, so fewer divisions run than the
+    # 25 + 16 + ... + 1 trailing updates of the five Bareiss steps.
+    assert all(not q.is_zero for q in dividends)
+    assert 0 < len(dividends) < sum(k * k for k in range(1, n))
 
 
 def test_det_sparsest_pivot_ties_go_to_the_first_in_row_major_order(monkeypatch):

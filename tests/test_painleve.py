@@ -557,6 +557,33 @@ def test_image_verdict_matches_the_multipoly_numerator(numeric_results):
                 assert pvi_residual(y, *params).is_zero == numerator.is_zero
 
 
+@pytest.mark.parametrize(
+    "slots, k",
+    [
+        ({}, 3),
+        ({0: 7}, 1),
+        ({5: 123}, 3),  # one slot far above the first: zeros at the bottom
+        ({400: 1, 0: 99}, 2),  # one long run of empty slots between two
+        ({300: 5, 299: 12, 3: 1}, 2),
+        ({1: 9, 0: 9}, 1),  # no empty slot
+    ],
+)
+def test_digits_matches_the_slot_sum(slots, k):
+    got = painleve._digits(slots, k)
+    assert isinstance(got, Decimal)
+    assert int(got) == sum(c * 10 ** (k * n) for n, c in slots.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_digits_matches_the_slot_sum_on_sparse_slots(k, data):
+    slots = data.draw(
+        st.dictionaries(st.integers(0, 600), st.integers(1, 10**k - 1), max_size=6)
+    )
+    got = painleve._digits(slots, k)
+    assert int(got) == sum(c * 10 ** (k * n) for n, c in slots.items())
+
+
 def test_image_takes_coefficients_past_the_int_to_str_digit_limit():
     # 6000-digit coefficients: int's str() refuses more than 4300 digits.
     ring = PolyRing(("t", "w"))

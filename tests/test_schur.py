@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauvi.exactalg import PolyRing
+from tauvi.exactalg import MultiPoly, PolyRing
 from tauvi.schur import TimeVector, elementary_schur, sequence_diff
 
 S_RING = PolyRing(("s1", "s2", "s3", "s4", "s5"))
@@ -152,3 +152,18 @@ def test_time_vector_first_time_difference():
     h = Fraction(7, 3)
     u = TimeVector((Fraction(0),), (h,), (Fraction(0),))
     assert u.diff(2, 1) == (h,)
+
+
+def test_time_vector_schur_table_matches_elementary_schur():
+    ring = PolyRing(tuple(f"u{a}{n}" for a in (1, 2, 3) for n in (1, 2, 3)))
+    numeric = TimeVector((Fraction(1, 2), Fraction(-3)), (Fraction(2),), (Fraction(0),))
+    for u in (TimeVector.symbolic(ring, 3), numeric):
+        for a, b in ((1, None), (2, None), (3, None), (2, 1), (3, 1), (3, 2)):
+            seq = u.component(a) if b is None else u.diff(a, b)
+            for n in (4, 0, 2, 6, 4, 1):  # out of order, with a repeat
+                got = u.schur(n, a, b)
+                want = elementary_schur(n, seq)
+                assert got == want
+                if isinstance(got, MultiPoly):
+                    assert list(got.terms.items()) == list(want.terms.items())
+                assert u.schur(n, a, b) is got  # read back, not recomputed

@@ -324,6 +324,58 @@ def test_support_sweep_small_families():
 # -- rotation coefficients ----------------------------------------------------
 
 
+def _entries(mat):
+    return [[(e.content, list(e.terms.items())) for e in row] for row in mat]
+
+
+def test_matrices_over_one_shared_time_vector_match_fresh_ones():
+    # Every support charge of m = (4, 2, 1) at order 2 reads the same Schur
+    # table; each matrix must equal, term order included, one built over a
+    # time vector of its own.
+    p = normalize_params((-4, -2, -1), (-3, -2, -2))
+    w = WeightMatrix.symbolic()
+    ring = _u_ring(2)
+    shared = TimeVector.symbolic(ring, 2)
+    m1, _, m3 = p.m
+    charges = [
+        nu for nu in itertools.product(range(-m1, -m3 + 1), repeat=3) if p.in_support(nu)
+    ]
+    assert len(charges) == 12
+    for nu in charges:
+        for build in (build_E, build_A):
+            got = build(p, w, shared, ring, nu=nu)
+            fresh = build(p, w, TimeVector.symbolic(ring, 2), ring, nu=nu)
+            assert _entries(got) == _entries(fresh)
+
+
+def test_tau_family_computes_each_schur_entry_once(params6, wsym, monkeypatch):
+    import tauvi.schur as schur_mod
+    import tauvi.taudet as taudet_mod
+
+    calls, dets = [], []
+    schur, det = schur_mod.elementary_schur, taudet_mod.fraction_free_det
+
+    def counted_schur(n, seq):
+        calls.append((n, tuple(str(x) for x in seq)))
+        return schur(n, seq)
+
+    def counted_det(rows, ring=None):
+        dets.append(len(rows))
+        return det(rows, ring)
+
+    monkeypatch.setattr(schur_mod, "elementary_schur", counted_schur)
+    monkeypatch.setattr(taudet_mod, "fraction_free_det", counted_det)
+    fam = TauFamily(params6, wsym)
+    fam.tau0()
+    for i, j in itertools.permutations((1, 2, 3), 2):
+        rotation_beta(fam, i, j)
+    monkeypatch.undo()
+    assert len(dets) == 7  # nu and its six shifts, all in the support
+    assert calls and len(calls) == len(set(calls))
+    for nu in fam._dets:
+        assert fam.det_T(nu) == fraction_free_det(build_T(params6, wsym, fam.ring, nu=nu))
+
+
 def test_rotation_beta_off_support_shift_is_zero(params6, wsym):
     fam = TauFamily(params6, wsym)
     # nu + e3 - e1 = (-4, -2, 0): in support; nu + e1 - e3 = (-2, -2, -2): in
