@@ -74,9 +74,11 @@ def parse_weights(spec: str) -> WeightMatrix:
                 rows = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read --weights file: {exc}") from None
-        return WeightMatrix.from_rows(
-            [[Fraction(str(x)) for x in row] for row in rows]
-        )
+        try:
+            entries = [[Fraction(str(x)) for x in row] for row in rows]
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad entry in --weights file: {exc}") from None
+        return WeightMatrix.from_rows(entries)
     raise ValueError(
         f"--weights must be 'sym', 'seed:N' or 'json:FILE', got {spec!r}"
     )

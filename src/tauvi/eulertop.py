@@ -110,11 +110,13 @@ def init_from_tau(family: TauFamily, t0: Fraction) -> EulerState:
     equal beta_ij.
 
     Everything is computed in exact arithmetic first; the trace identity
-    sum_i omega_i omegabar_i = -R2 is asserted before rounding to floats.
+    sum_i omega_i omegabar_i = -R2 is checked before rounding to floats.
     """
     t0 = Fraction(t0)
     if t0 in (0, 1):
         raise EulerTopError("t0 must avoid the fixed singularities 0 and 1")
+    if family.det_T().is_zero:
+        raise EulerTopError(f"tau0 vanishes for nu={family.params.nu}")
 
     def beta(i, j):
         val = rotation_beta(family, i, j, t0=t0)
@@ -129,9 +131,10 @@ def init_from_tau(family: TauFamily, t0: Fraction) -> EulerState:
     exact_w = (w1, w2, w3)
     exact_b = (b1, b2, b3)
     trace = sum(a * b for a, b in zip(exact_w, exact_b))
-    assert trace == -family.params.R2, (
-        f"rotation-coefficient seed violates the trace identity: {trace}"
-    )
+    if trace != -family.params.R2:
+        raise EulerTopError(
+            f"rotation-coefficient seed violates the trace identity: {trace}"
+        )
     try:
         return EulerState(
             t=float(t0),

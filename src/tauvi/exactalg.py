@@ -308,12 +308,6 @@ class MultiPoly:
             return NotImplemented
         return self + (-p)
 
-    def __rsub__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return p + (-self)
-
     def __mul__(self, other):
         """Product, with the smaller operand's terms as the outer loop.
 
@@ -1042,9 +1036,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant and self.den.is_constant
-
     def constant_value(self) -> Fraction:
         return self.num.constant_value() / self.den.constant_value()
 
@@ -1067,8 +1058,6 @@ class RatFunc:
             return NotImplemented
         return RatFunc(self.num * r.den + r.num * self.den, self.den * r.den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         out = RatFunc.__new__(RatFunc)
         out.num = -self.num
@@ -1081,19 +1070,11 @@ class RatFunc:
             return NotImplemented
         return self + (-r)
 
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return r + (-self)
-
     def __mul__(self, other):
         r = self._coerce(other)
         if r is None:
             return NotImplemented
         return RatFunc(self.num * r.num, self.den * r.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         r = self._coerce(other)
@@ -1102,21 +1083,6 @@ class RatFunc:
         if r.is_zero:
             raise ZeroDenominator("division by zero rational function")
         return RatFunc(self.num * r.den, self.den * r.num)
-
-    def __rtruediv__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return r / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise ValueError("rational function power must be an integer")
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDenominator("negative power of zero")
-            return RatFunc(self.den**(-n), self.num**(-n))
-        return RatFunc(self.num**n, self.den**n)
 
     def __eq__(self, other) -> bool:
         r = self._coerce(other) if isinstance(other, (RatFunc, MultiPoly, int, Fraction)) else None

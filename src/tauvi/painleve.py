@@ -30,7 +30,8 @@ check fails.
 Both checks reach their zero verdict without building that numerator R.
 Each residual's formula is written once over any ring and read three ways:
 as degree and l1-norm bounds (``_Bound``), as an exact ``Decimal`` and as a
-``MultiPoly``.  ``_image`` reads either formula the same way.  The quotient
+``MultiPoly``.  One routine, ``_residual``, decides both checks, and its
+``_image`` reads either formula the same way.  The quotient
 (y = P/Q for PVI, sigma = sp/sq for the sigma form) is scaled to integer
 coefficients, and R is multiplied by a power of the common denominator of
 its scalars (alpha..delta for PVI, e4 and the v_k^2 for the sigma form).
@@ -563,6 +564,17 @@ def _image(formula, P, Q, N1, N2, scalars, degree, den_power) -> _Image:
     return _Image(value, den**den_power * lam**degree, pivots, bounds.deg, bounds.norm, k)
 
 
+def _residual(formula, quotient: RatFunc, scalars, degree, den_power) -> MultiPoly:
+    """The numerator R that ``formula`` gives for ``quotient`` and the
+    rational ``scalars``: the zero polynomial, unbuilt, when its ``_image``
+    is 0, and otherwise R built as a ``MultiPoly``."""
+    P, Q = quotient.num, quotient.den
+    N1, N2 = _wronskians(P, Q)
+    if _image(formula, P, Q, N1, N2, scalars, degree, den_power).value == 0:
+        return quotient.ring.zero()
+    return formula(quotient.ring.var("t"), P, Q, N1, N2, *scalars)
+
+
 def pvi_residual(
     y: RatFunc,
     alpha: Fraction,
@@ -580,11 +592,7 @@ def pvi_residual(
     """
     params = tuple(Fraction(x) for x in (alpha, beta, gamma, delta))
     _reject_fixed_points(y)
-    P, Q = y.num, y.den
-    N1, N2 = _wronskians(P, Q)
-    if _image(_pvi_numerator, P, Q, N1, N2, params, degree=6, den_power=1).value == 0:
-        return y.ring.zero()
-    return _pvi_numerator(y.ring.var("t"), P, Q, N1, N2, *params)
+    return _residual(_pvi_numerator, y, params, degree=6, den_power=1)
 
 
 def sigma_form_residual(sigma: RatFunc, v: Sequence[Fraction]) -> MultiPoly:
@@ -592,18 +600,13 @@ def sigma_form_residual(sigma: RatFunc, v: Sequence[Fraction]) -> MultiPoly:
     - prod_k(sigma' + v_k^2), as its numerator over sq^8 (sq = sigma's
     denominator); identically zero iff sigma solves the form.
 
-    The image of ``_sigma_numerator`` decides the verdict, as for
-    ``pvi_residual``: a sigma that solves the form returns the zero
-    polynomial without its degree-8 numerator being built, and only a
-    failing check builds it.
+    ``_residual`` decides the verdict, as for ``pvi_residual``: a sigma that
+    solves the form returns the zero polynomial without its degree-8
+    numerator being built, and only a failing check builds it.
     """
     v1, v2, v3, v4 = (Fraction(x) for x in v)
     scalars = (v1 * v2 * v3 * v4, v1 * v1, v2 * v2, v3 * v3, v4 * v4)
-    sp, sq = sigma.num, sigma.den
-    sd1, sd2 = _wronskians(sp, sq)
-    if _image(_sigma_numerator, sp, sq, sd1, sd2, scalars, degree=8, den_power=4).value == 0:
-        return sigma.ring.zero()
-    return _sigma_numerator(sigma.ring.var("t"), sp, sq, sd1, sd2, *scalars)
+    return _residual(_sigma_numerator, sigma, scalars, degree=8, den_power=4)
 
 
 # ---------------------------------------------------------------------------

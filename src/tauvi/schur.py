@@ -5,9 +5,11 @@ exp(sum_n s_n lambda^n); it is computed by the Newton-style recurrence
 
     j * S_j = sum_{k=1}^{j} k * s_k * S_{j-k},        S_0 = 1,  S_{j<0} = 0.
 
-Sequences are finite tuples (entries beyond the end count as zero), and the
-entries may be exact rationals or :class:`~tauvi.exactalg.MultiPoly` from a
-common ring, so the same code serves numeric and symbolic callers.
+Sequences are finite tuples (entries beyond the end count as zero, so the
+sum runs over k <= len(s)), and the entries may be exact rationals or
+:class:`~tauvi.exactalg.MultiPoly` from a common ring.  The recurrence runs
+the same way on both: it starts from zero = 0 * s_1 (``Fraction(0)`` for an
+empty sequence), so S_0 = zero + 1 and every sum have the entries' type.
 
 A :class:`TimeVector` bundles the three time sequences u^(1), u^(2), u^(3) of
 the three-component hierarchy, truncated at a chosen order.  It also holds
@@ -28,12 +30,6 @@ from .exactalg import MultiPoly, PolyRing
 Entry = Union[int, Fraction, MultiPoly]
 
 
-def _zero_like(x: Entry):
-    if isinstance(x, MultiPoly):
-        return x.ring.zero()
-    return Fraction(0)
-
-
 def sequence_diff(a: Sequence[Entry], b: Sequence[Entry]) -> tuple:
     """Entrywise a - b, padding the shorter sequence with zeros."""
     n = max(len(a), len(b))
@@ -47,19 +43,14 @@ def sequence_diff(a: Sequence[Entry], b: Sequence[Entry]) -> tuple:
 
 def elementary_schur(j: int, s: Sequence[Entry]):
     """S_j of a (finite) time sequence; exact, polymorphic in the entries."""
+    zero = s[0] * 0 if s else Fraction(0)
     if j < 0:
-        return Fraction(0) if not s else _zero_like(s[0])
-    chain = [Fraction(1) if not s or not isinstance(s[0], MultiPoly) else s[0].ring.one()]
+        return zero
+    chain = [zero + Fraction(1)]
     for jj in range(1, j + 1):
-        acc = None
-        for k in range(1, jj + 1):
-            sk = s[k - 1] if k <= len(s) else 0
-            if isinstance(sk, int) and sk == 0:
-                continue
-            part = sk * chain[jj - k] * k
-            acc = part if acc is None else acc + part
-        if acc is None:
-            acc = _zero_like(chain[0]) if isinstance(chain[0], MultiPoly) else Fraction(0)
+        acc = zero
+        for k in range(1, min(jj, len(s)) + 1):
+            acc = acc + s[k - 1] * chain[jj - k] * k
         chain.append(acc * Fraction(1, jj))
     return chain[j]
 

@@ -7,15 +7,15 @@ is *supported* when
 
     nu1 + nu2 + nu3 = -(m1 + m2 + m3)   and   -m1 <= nu_i <= -m3  for all i.
 
-Three equivalent constructions of the same tau function are provided:
+Two equivalent constructions of the same tau function are provided:
 
-* ``build_T``  -- square matrix of size 2*m1 - m2 - m3 whose entries are
-  weights times divided powers of t; ``TauFamily.tau0`` divides the signed
-  determinant by t^R2 where R2 = (sum mu_i^2 - sum nu_i^2) / 2.
-* ``build_E``  -- same shape with the divided powers replaced by elementary
-  Schur polynomials of the time differences u^(2)-u^(1) and u^(3)-u^(1);
-  ``build_T`` is the specialization u^(2)-u^(1) = (t, 0, ...),
-  u^(3)-u^(1) = (1, 0, ...).
+* ``build_E``  -- square matrix of size 2*m1 - m2 - m3 whose entries are
+  weights times elementary Schur polynomials of the time differences
+  u^(2)-u^(1) and u^(3)-u^(1).  At the times ``t_times`` gives,
+  u^(2)-u^(1) = (t, 0, ...) and u^(3)-u^(1) = (1, 0, ...), the Schur
+  polynomials become divided powers of t and E becomes the matrix T;
+  ``TauFamily.tau0`` divides the signed determinant of T by t^R2 where
+  R2 = (sum mu_i^2 - sum nu_i^2) / 2.
 * ``build_A``  -- a 3p x 3p matrix (p = max_i(m1 + nu_i)) built from the
   individual time sequences, whose signed determinant equals the signed
   determinant of E.
@@ -284,18 +284,6 @@ def build_E(
 def t_times(ring: PolyRing) -> TimeVector:
     """The times u1 = 0, u2 = t, u3 = 1 at which E becomes T."""
     return TimeVector((Fraction(0),), (ring.var("t"),), (ring.one(),))
-
-
-def build_T(
-    params: ScalingParams,
-    weights: WeightMatrix,
-    ring: PolyRing = None,
-    nu: Sequence[int] = None,
-):
-    """E specialized to u2-u1 = (t, 0, ...), u3-u1 = (1, 0, ...)."""
-    if ring is None:
-        ring = tau_ring(weights)
-    return build_E(params, weights, t_times(ring), ring, nu=nu)
 
 
 def build_A(

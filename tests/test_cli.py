@@ -130,6 +130,18 @@ def test_tau_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["R2"] == 3
 
 
+@pytest.mark.parametrize(
+    "rows", [[["1/0", 1, 1], [1, 2, 1], [1, 1, 3]], [[1, "x", 1], [1, 2, 1], [1, 1, 3]], 5]
+)
+def test_bad_entry_in_weights_file_exits_usage(tmp_path, capsys, rows):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(rows))
+    code, out, err = run(capsys, "tau", "--mu=-2,-1,0", "--nu=-1,-1,-1", f"--weights=json:{path}")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: bad entry in --weights file") and err.count("\n") == 1
+
+
 def test_unreadable_weights_file_and_unwritable_out_exit_usage(tmp_path, capsys):
     missing = tmp_path / "no-such-dir"
     for argv in (
@@ -541,6 +553,16 @@ def test_euler_t0_at_fixed_singularity_exits_usage(capsys, t0):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "--t0" in err and "fixed singularities" in err
+
+
+def test_euler_off_support_charge_exits_usage(capsys):
+    code, out, err = run(
+        capsys, "euler", ARG_MU, "--nu=-5,0,-1", "--weights=seed:11"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "tau0 vanishes for nu=(-5, 0, -1)" in err
 
 
 @pytest.mark.parametrize("flag", ["--t0=1/0", "--t-end=1/0"])

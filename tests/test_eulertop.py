@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from tauvi import eulertop
 from tauvi.eulertop import (
     CSV_HEADER,
     EulerState,
@@ -117,6 +118,24 @@ def test_seed_too_large_for_a_float_is_rejected(family6):
     # t0 = 10^-330 is a valid exact time, but omega2 ~ 1/t0 overflows a float
     with pytest.raises(EulerTopError, match="does not fit in a float"):
         init_from_tau(family6, Fraction(1, 10**330))
+
+
+def test_seed_breaking_the_trace_identity_is_rejected(family6, monkeypatch):
+    original = eulertop.rotation_beta
+
+    def perturbed(family, i, j, **kw):
+        beta = original(family, i, j, **kw)
+        return beta + 1 if (i, j) == (1, 2) else beta
+
+    monkeypatch.setattr(eulertop, "rotation_beta", perturbed)
+    with pytest.raises(EulerTopError, match="trace identity"):
+        eulertop.init_from_tau(family6, Fraction(1, 2))
+
+
+def test_seed_off_the_support_is_rejected():
+    family = TauFamily(normalize_params((-4, -2, 0), (-5, 0, -1)), WeightMatrix.random(11))
+    with pytest.raises(EulerTopError, match="tau0 vanishes"):
+        init_from_tau(family, Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -748,12 +748,6 @@ def test_specialize_examples():
         r.specialize({"t": 1})
 
 
-def test_ratfunc_negative_power():
-    t = T.var("t")
-    r = RatFunc(t, t + 1)
-    assert r**-2 == RatFunc((t + 1) ** 2, t**2)
-
-
 # -- serialization ------------------------------------------------------------
 
 

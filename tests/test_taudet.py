@@ -21,7 +21,6 @@ from tauvi.taudet import (
     WeightMatrix,
     build_A,
     build_E,
-    build_T,
     det3,
     normalize_params,
     rotation_beta,
@@ -29,6 +28,7 @@ from tauvi.taudet import (
     sign_E,
     tau_from_A,
     tau_from_E,
+    t_times,
     tau_ring,
     time_symbols,
 )
@@ -150,7 +150,7 @@ def test_sign_pins_worked_example(params6):
 
 
 def test_build_T_worked_example_structure(params6, wsym, ring6):
-    mat = build_T(params6, wsym, ring6)
+    mat = build_E(params6, wsym, t_times(ring6), ring6)
     texts = [[e.text() for e in row] for row in mat]
     assert texts == [
         ["w33", "w33", "0", "0", "0", "0"],
@@ -181,7 +181,7 @@ def test_tau0_off_support_is_zero(params6, wsym):
     fam = TauFamily(params6, wsym)
     assert fam.tau0((-3, 1, -4)).is_zero  # nu2 > -m3
     assert fam.tau0((-5, 0, -1)).is_zero  # nu1 < -m1
-    assert build_T(params6, wsym, fam.ring, nu=(-5, 0, -1)) is None
+    assert build_E(params6, wsym, t_times(fam.ring), fam.ring, nu=(-5, 0, -1)) is None
 
 
 def test_tau0_boundary_point_nonzero(params6, wsym):
@@ -196,7 +196,7 @@ def test_one_by_one_matrix_case():
     p = normalize_params((-1, -1, 0), (-1, -1, 0))
     w = WeightMatrix.symbolic()
     ring = tau_ring(w)
-    mat = build_T(p, w, ring)
+    mat = build_E(p, w, t_times(ring), ring)
     assert len(mat) == 1
     got = TauFamily(p, w).tau0()
     assert not got.is_zero
@@ -209,7 +209,7 @@ def test_E_with_projected_times_is_T(params6, wsym, ring6):
     t = ring6.var("t")
     u = TimeVector((Fraction(0),), (t,), (ring6.one(),))
     E = build_E(params6, wsym, u, ring6)
-    T = build_T(params6, wsym, ring6)
+    T = build_E(params6, wsym, t_times(ring6), ring6)
     assert all(a == b for ra, rb in zip(E, T) for a, b in zip(ra, rb))
 
 
@@ -373,7 +373,8 @@ def test_tau_family_computes_each_schur_entry_once(params6, wsym, monkeypatch):
     assert len(dets) == 7  # nu and its six shifts, all in the support
     assert calls and len(calls) == len(set(calls))
     for nu in fam._dets:
-        assert fam.det_T(nu) == fraction_free_det(build_T(params6, wsym, fam.ring, nu=nu))
+        T = build_E(params6, wsym, t_times(fam.ring), fam.ring, nu=nu)
+        assert fam.det_T(nu) == fraction_free_det(T)
 
 
 def test_rotation_beta_off_support_shift_is_zero(params6, wsym):
@@ -391,8 +392,9 @@ def test_rotation_beta_is_determinant_ratio(params6):
     ring = fam.ring
     beta = rotation_beta(fam, 1, 2, t0=Fraction(1, 2))
     # independent route: both determinants straight from the matrices
-    num = fraction_free_det(build_T(params6, w, ring, nu=(-2, -3, -1)), ring)
-    den = fraction_free_det(build_T(params6, w, ring, nu=params6.nu), ring)
+    u = t_times(ring)
+    num = fraction_free_det(build_E(params6, w, u, ring, nu=(-2, -3, -1)), ring)
+    den = fraction_free_det(build_E(params6, w, u, ring, nu=params6.nu), ring)
     nu = params6.nu
     # -sgn(i-j) = +1 for (i,j) = (1,2); parity m1*([i=2]+[j=2]) + tr + nu_k
     sign = -1 if (4 * (0 + 1) + sum(nu) + nu[2]) % 2 else 1
