@@ -291,6 +291,10 @@ def cmd_euler(args) -> int:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+    if not 0 <= args.max_residual < math.inf:
+        raise ValueError(
+            f"--max-residual must be non-negative and finite, got {args.max_residual}"
+        )
     t0 = _parse_time(args.t0, "--t0")
     t_end = _parse_time(args.t_end, "--t-end")
     family = TauFamily(params, weights)

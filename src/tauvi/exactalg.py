@@ -50,7 +50,7 @@ Reduction divides out the full multivariate gcd and then scales so the
 denominator's leading coefficient is 1.  Equality of reduced forms is
 therefore structural equality.  The gcd is computed by the heuristic
 integer-evaluation algorithm GCDHEU, whose answer exact division proves;
-when it gives up, a primitive subresultant remainder sequence takes over.
+when it gives up, a primitive remainder sequence takes over.
 
 Determinants of polynomial matrices use Bareiss fraction-free elimination (all
 intermediate divisions are exact), with a cheap singleton-row/column expansion
@@ -63,6 +63,7 @@ both the products and the exact divisions small.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
@@ -78,9 +79,9 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # Ints below 2**1990 < 10**600 convert with str() under any interpreter digit
-# limit (CPython rejects limits below 640 digits); larger ones are split into
-# such pieces, so text output is exact at any size without touching the
-# process-wide sys.set_int_max_str_digits.
+# limit (CPython rejects limits below 640 digits); larger ones go through
+# Decimal, whose str is exact at any size and not subject to that limit, so
+# text output never touches the process-wide sys.set_int_max_str_digits.
 _SAFE_BITS = 1990
 
 # Smallest operand size, in terms, from which a product runs over packed
@@ -96,13 +97,7 @@ _PACK_MIN_TERMS = 8
 
 def _int_text(n: int) -> str:
     """Decimal text of an int of any size."""
-    if n < 0:
-        return "-" + _int_text(-n)
-    if n.bit_length() <= _SAFE_BITS:
-        return str(n)
-    k = n.bit_length() * 3 // 20  # about half the digit count
-    hi, lo = divmod(n, 10**k)
-    return _int_text(hi) + _int_text(lo).zfill(k)
+    return str(n) if n.bit_length() <= _SAFE_BITS else str(Decimal(n))
 
 
 def _fraction_text(c: Fraction) -> str:
@@ -584,17 +579,6 @@ def _from_ints(ring: PolyRing, content: Fraction, ints: dict) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """gcd on rationals: gcd of numerators over lcm of denominators, >= 0."""
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    num = _int_gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // _int_gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 def _coeffs_in(p: MultiPoly, i: int) -> dict:
     """Decompose as a polynomial in symbol i with coefficients free of it."""
     out: dict = {}
@@ -631,21 +615,12 @@ def _var_power(ring: PolyRing, i: int, e: int) -> MultiPoly:
 
 
 def _pseudo_rem(a: MultiPoly, b: MultiPoly, i: int) -> MultiPoly:
-    """Strict pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b in symbol i.
-
-    The full multiplier matters: the subresultant divisions assume it, so
-    when cancellation drops the degree by more than one per pass the missing
-    lc(b) factors are restored at the end.
-    """
+    """Pseudo-remainder of a by b in symbol i: lc(b)^k * a mod b for some k."""
     db = _degree_idx(b, i)
     lcb = _lead_coeff_in(b, i)
     r = a
-    missing = _degree_idx(a, i) - db + 1
     while not r.is_zero and (dr := _degree_idx(r, i)) >= db:
         r = lcb * r - _lead_coeff_in(r, i) * _var_power(r.ring, i, dr - db) * b
-        missing -= 1
-    if missing > 0 and not r.is_zero:
-        r = lcb**missing * r
     return r
 
 
@@ -664,39 +639,13 @@ def _primitive_in(p: MultiPoly, i: int) -> MultiPoly:
     return p.divexact(cont)
 
 
-def _monomial_min(p: MultiPoly) -> tuple:
-    """Exponent-wise minimum over all terms (the monomial content)."""
-    it = iter(p.terms)
-    m = list(next(it))
-    for exp in it:
-        for k, e in enumerate(exp):
-            if e < m[k]:
-                m[k] = e
-    return tuple(m)
-
-
-def _monomial_quot(p: MultiPoly, m: tuple) -> MultiPoly:
-    if not any(m):
-        return p
-    out = {}
-    for exp, c in p.terms.items():
-        out[tuple(e - f for e, f in zip(exp, m))] = c
-    return _raw_poly(p.ring, p.content, out)
-
-
 def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Subresultant gcd of two nonzero polynomials, up to a rational factor."""
+    """gcd of two nonzero polynomials up to a rational factor, by the
+    primitive remainder sequence in one main symbol (Geddes, Czapor &
+    Labahn, Algorithms for Computer Algebra, 7.4)."""
     ring = a.ring
     if a.is_constant or b.is_constant:
-        return ring.const(_frac_gcd(a.content, b.content))
-    # Split off the common monomial part first: after division neither
-    # operand is divisible by any single symbol, so the two gcd factors are
-    # coprime and multiply back exactly.  (Tau denominators are mostly pure
-    # powers of t, which this catches for free.)
-    ma, mb = _monomial_min(a), _monomial_min(b)
-    if any(ma) or any(mb):
-        common = _raw_poly(ring, _ONE, {tuple(min(e, f) for e, f in zip(ma, mb)): 1})
-        return common * _gcd_rec(_monomial_quot(a, ma), _monomial_quot(b, mb))
+        return ring.one()
     nv = ring.nvars
     dva = [_degree_idx(a, i) for i in range(nv)]
     dvb = [_degree_idx(b, i) for i in range(nv)]
@@ -716,30 +665,15 @@ def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     h = b.divexact(cb)
     if _degree_idx(g, main) < _degree_idx(h, main):
         g, h = h, g
-    # Subresultant sequence on the primitive parts: each pseudo-remainder is
-    # divided exactly by the tracked beta factor, so no content gcds are
-    # needed inside the loop -- only once on the final element.
-    gap = _degree_idx(g, main) - _degree_idx(h, main)
-    beta = ring.const((-1) ** (gap + 1))
-    psi = ring.const(-1)
+    # Each remainder is made primitive, in main and over Q, before the next
+    # pass, so its coefficients stay as small as the gcd allows.
     while True:
         r = _pseudo_rem(g, h, main)
         if r.is_zero:
-            break
-        dr = _degree_idx(r, main)
-        if dr == 0:
-            h = ring.one()
-            break
-        r = r.divexact(beta)
-        neg_lch = -_lead_coeff_in(h, main)
-        if gap == 1:
-            psi = neg_lch
-        elif gap > 1:
-            psi = (neg_lch**gap).divexact(psi ** (gap - 1))
-        gap = _degree_idx(h, main) - dr
-        beta = neg_lch * psi**gap
-        g, h = h, r
-    return cg * _primitive_in(h, main)
+            return cg * h
+        if _degree_idx(r, main) == 0:
+            return cg
+        g, h = h, _primitive_in(_raw_poly(ring, _ONE, r.terms), main)
 
 
 # -- heuristic gcd (GCDHEU) ------------------------------------------------------
@@ -759,8 +693,9 @@ def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 # Liao & Fateman's refinement of the CGG choice, about the square root of the
 # smaller coefficient norm, whichever is larger, and grows after a failed
 # candidate.  After _HEU_RETRIES retries, counted over the whole recursion,
-# the heuristic gives up: the subresultant sequence is faster on gcds that
-# need many.
+# the heuristic gives up.  With 2 retries or with 6 it gives up on the same
+# two gcds of the reference family's all-branch symbolic solve, and the
+# remainder sequence answers both in about 0.01 s.
 
 _HEU_RETRIES = 2
 
@@ -859,7 +794,7 @@ def _heu_gcd(a: MultiPoly, b: MultiPoly, retries: list):
 
 def _gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """gcd up to a rational factor: the heuristic on the integer parts, or
-    the subresultant sequence when the heuristic gives up."""
+    the primitive remainder sequence when the heuristic gives up."""
     if a.is_zero:
         return b
     if b.is_zero:

@@ -64,7 +64,7 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 from .exactalg import MultiPoly, PolyRing
-from .schur import TimeVector, elementary_schur
+from .schur import TimeVector
 from .taudet import ScalingParams, WeightMatrix, _sign_pow
 
 
@@ -163,7 +163,7 @@ def apply_phi(
     for a in (1, 2, 3):
         wa = weights.entry(a, b, ring)
         for jj in range(ell2, 2 * m1, 2):
-            s = elementary_schur((jj - ell2) // 2, u.component(a))
+            s = u.schur((jj - ell2) // 2, a)
             if s == 0:
                 continue
             factor = wa * s

@@ -20,10 +20,11 @@ Two equivalent constructions of the same tau function are provided:
   individual time sequences, whose signed determinant equals the signed
   determinant of E.
 
-Both builders read S_n through ``TimeVector.schur``, so every matrix built
-over one time vector shares one Schur table: ``tauvi oracle`` builds E and A
-of every support charge over one symbolic vector, and ``TauFamily`` builds T
-of every charge over one ``t_times`` vector.
+Both builders, and the fermionic oracle's ``apply_phi``, read S_n through
+``TimeVector.schur``, so everything built over one time vector shares one
+Schur table: ``tauvi oracle`` expands G|0> and builds E and A of every
+support charge over one symbolic vector, and ``TauFamily`` builds T of every
+charge over one ``t_times`` vector.
 
 Row/column indices below follow the 1-based conventions of the defining
 formulas; the ``add`` that ``_zero_matrix`` returns translates to 0-based

@@ -613,6 +613,19 @@ def test_euler_tolerance_not_positive_and_finite_exits_usage(capsys, tol):
     assert "--tol" in err
 
 
+# A nan or negative bound would fail every run only after the whole
+# integration, and inf would pass every run without checking anything.
+@pytest.mark.parametrize("bound", ["nan", "-1", "inf", "-inf"])
+def test_euler_max_residual_not_nonnegative_and_finite_exits_usage(capsys, bound):
+    code, out, err = run(
+        capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11", f"--max-residual={bound}"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--max-residual" in err
+
+
 @pytest.mark.parametrize("t_end", ["1", "2", "0", "-1"])
 def test_euler_t_end_outside_the_open_unit_interval_exits_usage(capsys, t_end):
     code, out, err = run(

@@ -491,9 +491,12 @@ def test_gcd_heuristic_retries_after_an_unlucky_point():
     assert g == XYZW.one()
 
 
+# The symbolic flip13 and swap23 branches reduce y over denominators with
+# t-power factors, which the fallback must find through contents and
+# remainders like any other factor.
 def test_solve_family_is_independent_of_the_gcd_route(params6, wsym, monkeypatch):
     runs = [
-        (wsym, ["id"]),
+        (wsym, ["id", "flip13", "swap23"]),
         (WeightMatrix.random(3), None),
     ]
     heuristic = [solve_family(params6, w, branches=br) for w, br in runs]
