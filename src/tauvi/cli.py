@@ -74,6 +74,8 @@ def parse_weights(spec: str) -> WeightMatrix:
                 rows = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read --weights file: {exc}") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"bad --weights file: {exc}") from None
         try:
             entries = [[Fraction(str(x)) for x in row] for row in rows]
         except (TypeError, ValueError, ZeroDivisionError) as exc:

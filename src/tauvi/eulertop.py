@@ -119,8 +119,7 @@ def init_from_tau(family: TauFamily, t0: Fraction) -> EulerState:
         raise EulerTopError(f"tau0 vanishes for nu={family.params.nu}")
 
     def beta(i, j):
-        val = rotation_beta(family, i, j, t0=t0)
-        return val.constant_value() if not val.is_zero else Fraction(0)
+        return rotation_beta(family, i, j, t0=t0).constant_value()
 
     w3 = beta(1, 2)
     b3 = beta(2, 1)

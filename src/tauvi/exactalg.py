@@ -52,6 +52,12 @@ therefore structural equality.  The gcd is computed by the heuristic
 integer-evaluation algorithm GCDHEU, whose answer exact division proves;
 when it gives up, a primitive remainder sequence takes over.
 
+Exact evaluation at a point is one routine, ``_eval_at``.  Setting symbol x
+to a rational a/b maps each term c*x^e to c*a^e*b^(d-e) over b^d, where d is
+the degree in x, so the sums run on ints and b^d joins the content.
+``MultiPoly.subs`` applies it once per bound symbol, and GCDHEU applies it
+at integer points, where b = 1.
+
 Determinants of polynomial matrices use Bareiss fraction-free elimination (all
 intermediate divisions are exact), with a cheap singleton-row/column expansion
 pass first so that sparse matrices collapse before elimination starts.  Each
@@ -378,32 +384,12 @@ class MultiPoly:
                 out[tuple(new)] = c * e
         return _from_ints(self.ring, self.content, out)
 
-    def subs(self, bindings: Mapping[str, object]) -> "MultiPoly":
-        """Substitute symbols by scalars or polynomials of the same ring."""
-        values = {}
-        for name, v in bindings.items():
-            i = self.ring.index(name)
-            if isinstance(v, MultiPoly):
-                self._check_ring(v)
-                values[i] = v
-            else:
-                values[i] = self.ring.const(_as_fraction(v))
-        result = self.ring.zero()
-        pow_cache: dict = {}
-        for exp, c in self.terms.items():
-            term = self.ring.const(self.content * c)
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                if i in values:
-                    key = (i, e)
-                    if key not in pow_cache:
-                        pow_cache[key] = values[i] ** e
-                    term = term * pow_cache[key]
-                else:
-                    term = term * _var_power(self.ring, i, e)
-            result = result + term
-        return result
+    def subs(self, bindings: Mapping[str, Scalar]) -> "MultiPoly":
+        """Bind symbols to exact rationals, one ``_eval_at`` pass per symbol."""
+        out = self
+        for name, value in bindings.items():
+            out = _eval_at(out, self.ring.index(name), _as_fraction(value))
+        return out
 
     def eval_float(self, bindings: Mapping[str, float]) -> float:
         """Floating-point evaluation (for ODE monitoring, not identities).
@@ -700,24 +686,29 @@ def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 _HEU_RETRIES = 2
 
 
-def _eval_at(p: MultiPoly, i: int, xi: int) -> MultiPoly:
-    """The integer polynomial p with symbol i set to xi (degree 0 in i)."""
+def _eval_at(p: MultiPoly, i: int, x: Scalar) -> MultiPoly:
+    """p with symbol i set to the rational x = a/b (degree 0 in i).
+
+    Each term c*x_i^e becomes c*a^e*b^(d-e) over b^d, where d is the degree
+    of p in x_i, so the sums run on ints; at an integer x, b^(d-e) is 1.
+    """
+    a, b = x.numerator, x.denominator
+    d = max((exp[i] for exp in p.terms), default=0)
     out: dict = {}
     powers: dict = {}
     for exp, c in p.terms.items():
         e = exp[i]
+        pw = powers.get(e)
+        if pw is None:
+            pw = powers[e] = a**e * b ** (d - e)
         if e:
-            pw = powers.get(e)
-            if pw is None:
-                pw = powers[e] = xi**e
-            c *= pw
             exp = exp[:i] + (0,) + exp[i + 1 :]
-        s = out.get(exp, 0) + c
+        s = out.get(exp, 0) + c * pw
         if s:
             out[exp] = s
         else:
-            del out[exp]
-    return _from_ints(p.ring, p.content, out)
+            out.pop(exp, None)
+    return _from_ints(p.ring, p.content / b**d, out)
 
 
 def _interpolate(g: MultiPoly, i: int, xi: int) -> MultiPoly:
@@ -1032,16 +1023,6 @@ class RatFunc:
     def derivative(self, name: str) -> "RatFunc":
         n, d = self.num, self.den
         return RatFunc(n.derivative(name) * d - n * d.derivative(name), d * d)
-
-    def specialize(self, bindings: Mapping[str, Scalar]) -> "RatFunc":
-        """Bind symbols to exact rationals; error if the denominator dies."""
-        num = self.num.subs(bindings)
-        den = self.den.subs(bindings)
-        if den.is_zero:
-            raise DegenerateSpecialization(
-                f"denominator vanishes under {dict(bindings)!r}"
-            )
-        return RatFunc(num, den)
 
     def eval_float(self, bindings: Mapping[str, float]) -> float:
         return self.num.eval_float(bindings) / self.den.eval_float(bindings)

@@ -31,9 +31,10 @@ formulas; the ``add`` that ``_zero_matrix`` returns translates to 0-based
 storage.  Entries that the formulas address multiple times accumulate
 additively.
 
-``rotation_beta`` forms the tau-quotient rotation coefficients used to seed
-the Euler-top flow; ``TauFamily`` caches the determinants of the shifted
-charge vectors that those quotients need.
+``rotation_beta`` gives the value at t = t0 of a rotation coefficient, the
+quotient of two charge-shifted taus that seeds the Euler-top flow.  It
+evaluates the two determinants, which ``TauFamily`` caches, at t0 and divides
+the values, so the seed never builds a rational function of t.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from random import Random
 from typing import Optional, Sequence, Tuple
 
 from .exactalg import (
+    DegenerateSpecialization,
     MultiPoly,
     PolyRing,
     RatFunc,
@@ -386,47 +388,40 @@ def rotation_beta(
     family: TauFamily,
     i: int,
     j: int,
-    t0: Fraction = None,
+    t0: Fraction,
     h0: Fraction = Fraction(1),
 ) -> RatFunc:
-    """Rotation coefficient beta_ij as a rational function of t.
+    """Rotation coefficient beta_ij at t = t0, a function of the weights alone.
 
     With nu' = nu + e_i - e_j, this is
 
         -sgn(i - j) * (-1)^{m1*([i=2]+[j=2]) + nu1+nu2+nu3+nu_k}
-            * (h/t)^{nu_j - nu_i - 1} * det T_{nu'} / det T_{nu}
+            * (h0/t0)^{nu_j - nu_i - 1} * det T_{nu'}(t0) / det T_{nu}(t0)
 
-    where k is the index distinct from i and j.  Off-support shifts give the
-    zero function.  If ``t0`` is supplied the result is specialized there
-    (raising DegenerateSpecialization at a pole).
+    where k is the index distinct from i and j.  Both cached determinants are
+    evaluated at t0 before the quotient forms, so no rational function of t
+    is built; an off-support nu' has det T_{nu'} = 0 and gives zero.  Raises
+    DegenerateSpecialization when det T_nu, and so tau0, vanishes at t0.
     """
     if i == j or not {i, j} <= {1, 2, 3}:
         raise ValueError(f"need distinct i, j in 1..3, got {(i, j)}")
+    t0 = Fraction(t0)
+    h0 = Fraction(h0)
+    if t0 == 0 or h0 == 0:
+        raise ValueError("t0 and h0 must be nonzero")
     params = family.params
     nu = params.nu
     m1 = params.m[0]
     shifted = list(nu)
     shifted[i - 1] += 1
     shifted[j - 1] -= 1
-    shifted = tuple(shifted)
-    ring = family.ring
-    if not params.in_support(shifted):
-        return RatFunc(ring.zero())
     k = ({1, 2, 3} - {i, j}).pop()
     exponent = m1 * ((i == 2) + (j == 2)) + sum(nu) + nu[k - 1]
     sgn = (-1 if i > j else 1) * _sign_pow(exponent)
     power = nu[j - 1] - nu[i - 1] - 1  # exponent of h/t
-    h0 = Fraction(h0)
-    if h0 == 0:
-        raise ValueError("h0 must be nonzero")
-    t = ring.var("t")
-    num = family.det_T(shifted) * (h0**power)
-    den = family.det_T(nu)
-    if power >= 0:
-        den = den * t**power
-    else:
-        num = num * t ** (-power)
-    out = RatFunc(num * sgn, den)
-    if t0 is not None:
-        out = out.specialize({"t": Fraction(t0)})
-    return out
+    at_t0 = {"t": t0}
+    den = family.det_T(nu).subs(at_t0)
+    if den.is_zero:
+        raise DegenerateSpecialization(f"tau0 vanishes at t={t0}")
+    num = family.det_T(shifted).subs(at_t0) * (sgn * (h0 / t0) ** power)
+    return RatFunc(num, den)

@@ -59,6 +59,12 @@ def expand_d_table(ring: PolyRing, table) -> MultiPoly:
     return out
 
 
+def ratfunc_at(r: RatFunc, bindings) -> RatFunc:
+    """r with symbols bound to exact rationals: numerator and denominator
+    are evaluated separately, and the denominator must not vanish."""
+    return RatFunc(r.num.subs(bindings), r.den.subs(bindings))
+
+
 def assert_ratfunc_equals(r: RatFunc, num: MultiPoly, den: MultiPoly):
     """r == num/den as abstract rational functions (cross-multiplied)."""
     diff = r.num * den - num * r.den

@@ -186,6 +186,46 @@ def test_criterion_3_residuals_vanish_for_random_families():
     )
 
 
+def _small_generic_families():
+    """Every generic family with m1 <= 3: m1 > m2 > m3 >= 0 and nu strictly
+    inside the support box."""
+    for m1, m2, m3 in itertools.combinations(range(3, -1, -1), 3):
+        for nu in itertools.product(range(1 - m1, -m3), repeat=3):
+            if sum(nu) == -(m1 + m2 + m3):
+                yield normalize_params((-m1, -m2, -m3), nu)
+
+
+def test_symbolic_weights_residuals_vanish_on_small_generic_families(wsym):
+    """Symbolic weights cover every weight matrix of a family at once."""
+    start = time.monotonic()
+    families = list(_small_generic_families())
+    assert len(families) == 8
+    checks = 0
+    for params in families:
+        result = solve_family(params, wsym)
+        assert result.branches, (params.m, params.nu)
+        for data in result.branches:
+            where = (params.m, params.nu, data.branch)
+            assert pvi_residual(
+                data.y, data.alpha, data.beta, data.gamma, data.delta
+            ).is_zero, where
+            assert sigma_form_residual(result.sigma, data.v).is_zero, where
+            checks += 1
+    assert checks == 104  # 120 distinct branches, two degenerate per family
+    # negative control: the same check must catch a wrong alpha
+    data = result.branches[0]
+    assert not pvi_residual(
+        data.y, data.alpha + 1, data.beta, data.gamma, data.delta
+    ).is_zero
+    elapsed = time.monotonic() - start
+    assert elapsed < 60.0
+    _verdict(
+        f"symbolic weights, small generic families ({checks} branch checks)",
+        elapsed,
+        60.0,
+    )
+
+
 def test_criterion_4_three_way_tau_agreement():
     start = time.monotonic()
     weights = WeightMatrix.symbolic()
@@ -300,9 +340,9 @@ def test_criterion_5_tau_property_suite(params6, wsym):
     assert (
         tau.derivative("u11") + tau.derivative("u21") + tau.derivative("u31")
     ).is_zero
-    lam = Fraction(3, 5)
-    scaled = tau.subs({f"u{a}1": ring.var(f"u{a}1") * lam for a in (1, 2, 3)})
-    assert scaled == tau * lam**params6.R2
+    first = [ring.index(f"u{a}1") for a in (1, 2, 3)]
+    assert tau.terms
+    assert all(sum(exp[i] for i in first) == params6.R2 for exp in tau.terms)
 
     # rotation-coefficient scaling degree -1 - nu_i + nu_j
     fam6 = TauFamily(params6, wsym)

@@ -131,15 +131,25 @@ def test_tau_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "rows", [[["1/0", 1, 1], [1, 2, 1], [1, 1, 3]], [[1, "x", 1], [1, 2, 1], [1, 1, 3]], 5]
+    "rows",
+    [
+        [["1/0", 1, 1], [1, 2, 1], [1, 1, 3]],
+        [[1, "x", 1], [1, 2, 1], [1, 1, 3]],
+        5,
+        # text that is not JSON at all
+        pytest.param("", id="empty"),
+        pytest.param("[[1, 1", id="truncated"),
+    ],
 )
 def test_bad_entry_in_weights_file_exits_usage(tmp_path, capsys, rows):
     path = tmp_path / "w.json"
-    path.write_text(json.dumps(rows))
+    not_json = isinstance(rows, str)
+    path.write_text(rows if not_json else json.dumps(rows))
     code, out, err = run(capsys, "tau", "--mu=-2,-1,0", "--nu=-1,-1,-1", f"--weights=json:{path}")
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith("error: bad entry in --weights file") and err.count("\n") == 1
+    want = "error: bad --weights file: " if not_json else "error: bad entry in --weights file"
+    assert err.startswith(want) and err.count("\n") == 1
 
 
 def test_unreadable_weights_file_and_unwritable_out_exit_usage(tmp_path, capsys):
@@ -644,6 +654,19 @@ def test_euler_zero_samples_exits_usage(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_euler_seed_at_a_zero_of_tau0_exits_usage(tmp_path, capsys):
+    # tau0 of these weights vanishes at t = 1/2, so no seed exists there
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps([[1, 1, 1], [0, 2, 1], [0, 3, 1]]))
+    code, out, err = run(
+        capsys, "euler", ARG_MU, ARG_NU, f"--weights=json:{path}", "--t0=1/2"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "t0=1/2" in err
 
 
 def test_euler_reports_movable_pole(tmp_path, capsys):

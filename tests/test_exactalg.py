@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from tauvi import exactalg
 from tauvi.exactalg import (
-    DegenerateSpecialization,
     ExactAlgError,
     InexactDivision,
     MultiPoly,
@@ -28,6 +27,8 @@ from tauvi.exactalg import (
 )
 from tauvi.painleve import solve_family
 from tauvi.taudet import WeightMatrix
+
+from conftest import ratfunc_at
 
 XY = PolyRing(("x", "y"))
 T = PolyRing(("t",))
@@ -144,9 +145,9 @@ def test_derivative_matches_finite_difference():
     df = f.derivative("t")
     h = Fraction(1, 10**6)
     for t0 in (Fraction(1, 3), Fraction(5, 7), Fraction(-2, 5)):
-        num = f.specialize({"t": t0 + h}) - f.specialize({"t": t0 - h})
+        num = ratfunc_at(f, {"t": t0 + h}) - ratfunc_at(f, {"t": t0 - h})
         approx = num.constant_value() / (2 * h)
-        exact = df.specialize({"t": t0}).constant_value()
+        exact = ratfunc_at(df, {"t": t0}).constant_value()
         assert abs(float(approx - exact)) < 1e-8 * max(1.0, abs(float(exact)))
 
 
@@ -214,6 +215,85 @@ def test_kernel_matches_sympy(a, b, x0, y0):
         assert divisible == rem.is_zero
     want = sa.subs({x: sympy.Rational(str(x0)), y: sympy.Rational(str(y0))})
     assert a.subs({"x": x0, "y": y0}).constant_value() == Fraction(str(want))
+
+
+# -- the one evaluation map ------------------------------------------------------
+
+# 0, negative and non-integer points all take their own branches of the map.
+_points = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=7)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys, _points, _points)
+def test_subs_at_rational_points_matches_sympy(p, q, x0, y0):
+    x, y = sympy.symbols("x y")
+    at = {"x": x0, "y": y0}
+    sp = _to_sympy(p)
+    for names in (("x",), ("y",), ("x", "y")):
+        got = p.subs({n: at[n] for n in names})
+        _assert_canonical(got)
+        want = sp.subs({sympy.Symbol(n): sympy.Rational(str(at[n])) for n in names})
+        assert sympy.expand(_to_sympy(got) - want) == 0
+    # every coefficient of (x - x0) * q in y cancels at x = x0
+    padded = p + (XY.var("x") - x0) * q
+    assert padded.subs({"x": x0}) == p.subs({"x": x0})
+
+
+def test_subs_rejects_polynomial_values():
+    x, y = XY.var("x"), XY.var("y")
+    with pytest.raises(TypeError):
+        (x * y).subs({"x": y})
+
+
+def test_subs_and_gcdheu_share_the_evaluation_map(monkeypatch):
+    calls = []
+    original = exactalg._eval_at
+
+    def counted(p, i, x):
+        calls.append(i)
+        return original(p, i, x)
+
+    monkeypatch.setattr(exactalg, "_eval_at", counted)
+    x, y = XY.var("x"), XY.var("y")
+    p = (x + y) * (x - 2 * y + 3)
+    assert p.subs({"x": 1, "y": Fraction(1, 2)}) == XY.const(Fraction(9, 2))
+    assert calls == [0, 1]
+    calls.clear()
+    assert poly_gcd(p, (x + y) * (x + 5)) == x + y
+    assert calls
+
+
+def _eval_at_int_reference(p: MultiPoly, i: int, xi: int) -> MultiPoly:
+    """GCDHEU's evaluation map before it took rational points: p with symbol
+    i set to the nonzero int xi."""
+    out: dict = {}
+    powers: dict = {}
+    for exp, c in p.terms.items():
+        e = exp[i]
+        if e:
+            pw = powers.get(e)
+            if pw is None:
+                pw = powers[e] = xi**e
+            c *= pw
+            exp = exp[:i] + (0,) + exp[i + 1 :]
+        s = out.get(exp, 0) + c
+        if s:
+            out[exp] = s
+        else:
+            del out[exp]
+    return exactalg._from_ints(p.ring, p.content, out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, st.integers(0, 1), st.integers(-(10**6), 10**6).filter(bool))
+def test_eval_at_an_integer_matches_the_integer_map(p, i, xi):
+    got = exactalg._eval_at(p, i, xi)
+    want = _eval_at_int_reference(p, i, xi)
+    assert type(got.content) is Fraction and got.content == want.content
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is int for c in got.terms.values())
 
 
 def _tuple_product(a: dict, b: dict) -> dict:
@@ -741,14 +821,6 @@ def test_ratfunc_zero_denominator_rejected():
     t = T.var("t")
     with pytest.raises(ZeroDenominator):
         RatFunc(t) / RatFunc(T.zero())
-
-
-def test_specialize_examples():
-    t = T.var("t")
-    r = RatFunc(t**2 + 1, t - 1)
-    assert r.specialize({"t": 2}) == 5
-    with pytest.raises(DegenerateSpecialization):
-        r.specialize({"t": 1})
 
 
 # -- serialization ------------------------------------------------------------

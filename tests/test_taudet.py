@@ -33,7 +33,7 @@ from tauvi.taudet import (
     time_symbols,
 )
 
-from conftest import TAU0_NUM, assert_ratfunc_equals, d_polys, expand_d_table
+from conftest import TAU0_NUM, assert_ratfunc_equals, d_polys, expand_d_table, ratfunc_at
 
 ZERO_TIMES = TimeVector((Fraction(0),), (Fraction(0),), (Fraction(0),))
 
@@ -237,7 +237,7 @@ def test_factorization_into_h_power_times_tau0(params6, wsym):
     for t0, h0 in ((Fraction(2, 3), Fraction(3)), (Fraction(1, 2), Fraction(-2))):
         u = TimeVector((Fraction(0),), (h0,), (h0 / t0,))
         val = tau_from_E(params6, wsym, u, fam.ring, nu=params6.nu)
-        assert RatFunc(val) == base.specialize({"t": t0}) * h0**params6.R2
+        assert RatFunc(val) == ratfunc_at(base, {"t": t0}) * h0**params6.R2
 
 
 def test_A_matches_E_on_worked_example(params6, wsym):
@@ -259,7 +259,7 @@ def test_A_is_3p_by_3p():
     t0 = Fraction(3, 7)
     proj = tau_from_A(p, w, u, ring, nu=p.nu).subs({"u11": 0, "u21": t0, "u31": 1})
     fam = TauFamily(p, w)
-    want = fam.tau0().specialize({"t": t0}).constant_value() * t0**p.R2
+    want = ratfunc_at(fam.tau0(), {"t": t0}).constant_value() * t0**p.R2
     assert proj.constant_value() == want
 
 
@@ -280,9 +280,11 @@ def test_homogeneity_in_first_times(params6, wsym):
     ring = _u_ring(1)
     u = TimeVector.symbolic(ring, 1)
     tau = tau_from_E(params6, wsym, u, ring)
-    lam = Fraction(3, 5)
-    scaled = tau.subs({f"u{a}1": ring.var(f"u{a}1") * lam for a in (1, 2, 3)})
-    assert scaled == tau * lam**params6.R2
+    # degree R2 in (u11, u21, u31) for every monomial is equivalent to
+    # tau(lambda*u) = lambda^R2 * tau(u) for every lambda
+    first = [ring.index(f"u{a}1") for a in (1, 2, 3)]
+    assert tau.terms
+    assert all(sum(exp[i] for i in first) == params6.R2 for exp in tau.terms)
 
 
 def test_weighted_degree_equals_r2():
@@ -368,7 +370,7 @@ def test_tau_family_computes_each_schur_entry_once(params6, wsym, monkeypatch):
     fam = TauFamily(params6, wsym)
     fam.tau0()
     for i, j in itertools.permutations((1, 2, 3), 2):
-        rotation_beta(fam, i, j)
+        rotation_beta(fam, i, j, Fraction(1, 2))
     monkeypatch.undo()
     assert len(dets) == 7  # nu and its six shifts, all in the support
     assert calls and len(calls) == len(set(calls))
@@ -383,7 +385,7 @@ def test_rotation_beta_off_support_shift_is_zero(params6, wsym):
     # support too, so use a family where some shift leaves the box.
     p = normalize_params((-1, -1, 0), (-1, -1, 0))
     fam_small = TauFamily(p, WeightMatrix.symbolic())
-    assert rotation_beta(fam_small, 3, 1).is_zero  # nu -> (-2, -1, 1)
+    assert rotation_beta(fam_small, 3, 1, Fraction(1, 2)).is_zero  # nu -> (-2, -1, 1)
 
 
 def test_rotation_beta_is_determinant_ratio(params6):
@@ -424,10 +426,15 @@ def test_rotation_beta_scaling_in_h(params6, wsym):
 
 def test_rotation_beta_rejects_bad_indices(params6, wsym):
     fam = TauFamily(params6, wsym)
+    t0 = Fraction(1, 2)
     with pytest.raises(ValueError):
-        rotation_beta(fam, 1, 1)
+        rotation_beta(fam, 1, 1, t0)
     with pytest.raises(ValueError):
-        rotation_beta(fam, 0, 2)
+        rotation_beta(fam, 0, 2, t0)
+    with pytest.raises(ValueError):
+        rotation_beta(fam, 1, 2, Fraction(0))
+    with pytest.raises(ValueError):
+        rotation_beta(fam, 1, 2, t0, h0=Fraction(0))
 
 
 def test_rotation_beta_pole_at_denominator_zero():
