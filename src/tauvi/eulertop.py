@@ -24,14 +24,18 @@ tau family, three quantities are conserved or pinned to closed form:
 Integration uses an embedded Dormand-Prince 5(4) pair with PI step-size
 control and the standard quartic dense-output interpolant, so monitors can be
 evaluated at arbitrary sample points without constraining the step sequence.
-States, stages and interpolant coefficients are tuples of six Python floats;
-every stage sum is taken per component in one fixed order (``_hsum``), so a
-trajectory is reproducible bit for bit.
+States, stages and interpolant coefficients are tuples of six Python floats.
+One step (``_dp_step``) takes each stage sum in one pass over the components,
+always in the same left-to-right order, and computes y_new once, as the
+argument of the last stage; so a trajectory is reproducible bit for bit.
+Builtin ``sum`` is not used for these sums, as Python 3.12 made it compensated
+on floats.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -183,19 +187,66 @@ _D = (
 MAX_STEPS = 200000  # accepted plus rejected steps before integrate gives up
 
 
-def _hsum(h: float, coeffs: Sequence[float], ks: Sequence[Vec], y=None) -> Vec:
-    """h * sum_j coeffs[j] * ks[j] per component, added to y if given.
+def _dp_step(stage_ts: Sequence[float], h: float, y: Vec, k1: Vec, nu: Sequence[int]):
+    """One trial step of size h from y, where k1 = rhs(stage_ts[0], y): the
+    stages (k1, ..., k7), y_new and the error estimate.
 
-    Each component's sum starts from 0 and adds its terms left to right. The
-    order is fixed because every printed digit of a trajectory depends on it;
-    builtin ``sum`` will not do, as Python 3.12 made it compensated on floats.
+    Every component of a stage sum starts from 0 and adds its terms left to
+    right, zero coefficients included, so signed zeros, inf and nan come out
+    the same however the sums are written. y_new is the stage-7 argument.
     """
-    acc = [0] * 6
-    for c, k in zip(coeffs, ks):
-        acc = [a + c * x for a, x in zip(acc, k)]
-    if y is None:
-        return tuple(h * a for a in acc)
-    return tuple(b + h * a for b, a in zip(y, acc))
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _A[1:5]
+    (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = _A[5:]
+    e1, e2, e3, e4, e5, e6, e7 = _E
+    k2 = rhs(stage_ts[1], tuple(b + h * (0 + a21 * x1) for b, x1 in zip(y, k1)), nu)
+    k3 = rhs(
+        stage_ts[2],
+        tuple(b + h * (0 + a31 * x1 + a32 * x2) for b, x1, x2 in zip(y, k1, k2)),
+        nu,
+    )
+    k4 = rhs(
+        stage_ts[3],
+        tuple(
+            b + h * (0 + a41 * x1 + a42 * x2 + a43 * x3)
+            for b, x1, x2, x3 in zip(y, k1, k2, k3)
+        ),
+        nu,
+    )
+    k5 = rhs(
+        stage_ts[4],
+        tuple(
+            b + h * (0 + a51 * x1 + a52 * x2 + a53 * x3 + a54 * x4)
+            for b, x1, x2, x3, x4 in zip(y, k1, k2, k3, k4)
+        ),
+        nu,
+    )
+    k6 = rhs(
+        stage_ts[5],
+        tuple(
+            b + h * (0 + a61 * x1 + a62 * x2 + a63 * x3 + a64 * x4 + a65 * x5)
+            for b, x1, x2, x3, x4, x5 in zip(y, k1, k2, k3, k4, k5)
+        ),
+        nu,
+    )
+    y_new = tuple(
+        b + h * (0 + a71 * x1 + a72 * x2 + a73 * x3 + a74 * x4 + a75 * x5 + a76 * x6)
+        for b, x1, x2, x3, x4, x5, x6 in zip(y, k1, k2, k3, k4, k5, k6)
+    )
+    k7 = rhs(stage_ts[6], y_new, nu)
+    err = tuple(
+        h * (0 + e1 * x1 + e2 * x2 + e3 * x3 + e4 * x4 + e5 * x5 + e6 * x6 + e7 * x7)
+        for x1, x2, x3, x4, x5, x6, x7 in zip(k1, k2, k3, k4, k5, k6, k7)
+    )
+    return (k1, k2, k3, k4, k5, k6, k7), y_new, err
+
+
+def _dense(h: float, ks: Sequence[Vec]) -> Vec:
+    """h * sum_j _D[j] * ks[j], in the order of the stage sums."""
+    d1, d2, d3, d4, d5, d6, d7 = _D
+    return tuple(
+        h * (0 + d1 * x1 + d2 * x2 + d3 * x3 + d4 * x4 + d5 * x5 + d6 * x6 + d7 * x7)
+        for x1, x2, x3, x4, x5, x6, x7 in zip(*ks)
+    )
 
 
 def _error_norm(err: Vec, y: Vec, y_new: Vec, tol: float) -> float:
@@ -245,12 +296,25 @@ class Trajectory:
             raise EulerTopError(f"sample point {t} outside [{lo}, {hi}]")
         if not self.segments:
             return self.ys[0]
-        # segments are ordered along the direction of integration
-        for seg in self.segments:
-            a, b = sorted((seg.t0, seg.t0 + seg.h))
-            if a - 1e-12 <= t <= b + 1e-12:
-                return seg.eval(t)
-        return self.segments[-1].eval(t)
+        return self._segment_at(t).eval(t)
+
+    def _segment_at(self, t: float) -> _Segment:
+        """The first segment, along the direction of integration, whose span
+        widened by 1e-12 at each end holds t; the last segment if none does.
+
+        Segment i runs from ts[i] to ts[i + 1]. Along the direction, the test
+        at a segment's far end fails and then holds, and the test at its near
+        end holds and then fails; so the first segment that passes the far-end
+        test, found by bisection over ts, is the answer if it passes the other.
+        """
+        ts = self.ts
+        if ts[-1] >= ts[0]:
+            j = bisect_left(ts, True, 1, key=lambda end: t <= end + 1e-12)
+            hit = j < len(ts) and ts[j - 1] - 1e-12 <= t
+        else:
+            j = bisect_left(ts, True, 1, key=lambda end: end - 1e-12 <= t)
+            hit = j < len(ts) and t <= ts[j - 1] + 1e-12
+        return self.segments[j - 1] if hit else self.segments[-1]
 
     def final_state(self) -> Vec:
         return self.ys[-1]
@@ -259,7 +323,16 @@ class Trajectory:
 def integrate(
     state: EulerState, nu: Sequence[int], t_end: float, tol: float = 1e-10
 ) -> Trajectory:
-    """Adaptive DP5(4) integration from state.t to t_end."""
+    """Adaptive DP5(4) integration from state.t to t_end.
+
+    Raises ValueError for a t_end that is not finite and for a tol that is
+    negative or not finite; tol = 0 admits no error, so no step is accepted.
+    """
+    tol = float(tol)
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     t = float(state.t)
     y = state.vector()
     direction = 1.0 if t_end >= t else -1.0
@@ -268,7 +341,6 @@ def integrate(
         return traj
     if t in (0.0, 1.0):  # where the vector field divides by zero
         raise PoleDetected(t)
-    tol = float(tol)
     k1 = rhs(t, y, nu)
     h = direction * min(abs(t_end - t), 1e-3)
     facold = 1e-4
@@ -283,16 +355,13 @@ def integrate(
             h *= 0.5
             traj.n_rejected += 1
             continue
-        ks = [k1]
-        for i in range(1, 7):
-            ks.append(rhs(stage_ts[i], _hsum(h, _A[i], ks, y), nu))
-        y_new = _hsum(h, _A[6], ks, y)
-        err = _error_norm(_hsum(h, _E, ks), y, y_new, tol)
+        ks, y_new, err = _dp_step(stage_ts, h, y, k1, nu)
+        err = _error_norm(err, y, y_new, tol)
         if err <= 1.0:
             ydiff = tuple(b - a for a, b in zip(y, y_new))
             bspl = tuple(h * k - d for k, d in zip(ks[0], ydiff))
             r4 = tuple(d - h * k - b for d, k, b in zip(ydiff, ks[6], bspl))
-            traj.segments.append(_Segment(t, h, (y, ydiff, bspl, r4, _hsum(h, _D, ks))))
+            traj.segments.append(_Segment(t, h, (y, ydiff, bspl, r4, _dense(h, ks))))
             t += h
             y = y_new
             k1 = ks[6]  # first-same-as-last

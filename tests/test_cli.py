@@ -498,6 +498,31 @@ def test_euler_output_matches_golden_digest(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The reference run above has no rejected step and integrates forward; these
+# two pin the backward branch (153 steps) and the rejection branch (979 steps,
+# 2 rejected) of the same integrator.
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        (
+            ("--t0=9/10", "--t-end=1/10"),
+            "3a51bcc8a75a988dd63fdebaab1153dcc6d7e3e43147cb3f6926a1692f11de1f",
+        ),
+        (
+            ("--tol=1e-14",),
+            "fd0e56637f6402602e71ec151555246f7d4bfe48cf6a36c3755fe3a66cef34a8",
+        ),
+    ],
+    ids=["backward", "rejections"],
+)
+def test_euler_backward_and_rejecting_runs_match_golden_digests(capsys, extra, digest):
+    code, out, err = run(
+        capsys, "euler", ARG_MU, ARG_NU, "--weights=seed:11", "--format=csv", *extra
+    )
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_runs_on_the_standard_library_alone():
     # A fresh interpreter without site-packages imports all seven modules and
     # runs ``tauvi euler``; no module outside the standard library may load.

@@ -7,13 +7,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauvi import eulertop
 from tauvi.eulertop import (
+    _A,
+    _D,
+    _E,
     CSV_HEADER,
     EulerState,
     EulerTopError,
     PoleDetected,
+    _dense,
+    _dp_step,
     _error_norm,
     conserved_from_family,
     init_from_tau,
@@ -223,6 +230,142 @@ def test_sample_outside_range_rejected(family6, seeded6):
     traj = integrate(seeded6, family6.params.nu, 0.9, tol=1e-10)
     with pytest.raises(EulerTopError):
         traj.sample(0.3)
+
+
+def _scan_segment(traj, t):
+    """The segment a linear scan picks: the first, along the direction of
+    integration, whose span widened by 1e-12 holds t; else the last."""
+    for seg in traj.segments:
+        a, b = sorted((seg.t0, seg.t0 + seg.h))
+        if a - 1e-12 <= t <= b + 1e-12:
+            return seg
+    return traj.segments[-1]
+
+
+@pytest.mark.parametrize("t_end", [0.9, 0.1], ids=["forward", "backward"])
+def test_sample_finds_the_segment_a_linear_scan_finds(family6, seeded6, t_end):
+    # Each boundary and each boundary +-1e-13 lies in two segments' slack,
+    # where the first segment must win.
+    traj = integrate(seeded6, family6.params.nu, t_end, tol=1e-10)
+    ts = traj.ts
+    assert len(traj.segments) > 10
+    probes = [(a + b) / 2 for a, b in zip(ts, ts[1:])]
+    for t in ts:
+        probes += [t - 1e-13, t, t + 1e-13]
+    lo, hi = sorted((ts[0], ts[-1]))
+    probes = [t for t in probes if lo - 1e-12 <= t <= hi + 1e-12]
+    assert len(probes) == 4 * len(ts) - 1
+    for t in probes:
+        seg = _scan_segment(traj, t)
+        assert traj._segment_at(t) is seg
+        assert traj.sample(t) == seg.eval(t)
+
+
+def _no_rhs(t, y, nu):
+    raise AssertionError("integrate took a step")
+
+
+@pytest.mark.parametrize(
+    "t_end, tol",
+    [(math.nan, 1e-10), (math.inf, 1e-10), (0.9, -1e-10), (0.9, math.nan), (0.9, math.inf)],
+    ids=["t_end-nan", "t_end-inf", "tol-negative", "tol-nan", "tol-inf"],
+)
+def test_integrate_rejects_bad_arguments_before_the_first_step(
+    seeded6, monkeypatch, t_end, tol
+):
+    monkeypatch.setattr(eulertop, "rhs", _no_rhs)
+    with pytest.raises(ValueError):
+        integrate(seeded6, NU6, t_end, tol)
+
+
+# ---------------------------------------------------------------------------
+# stage sums, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _hsum(h, coeffs, ks, y=None):
+    """The reference stage sum: per component, h * (0 + c0*k0 + c1*k1 + ...)
+    added left to right, then added to y if given."""
+    acc = [0] * 6
+    for c, k in zip(coeffs, ks):
+        acc = [a + c * x for a, x in zip(acc, k)]
+    if y is None:
+        return tuple(h * a for a in acc)
+    return tuple(b + h * a for b, a in zip(y, acc))
+
+
+def _hsum_right_to_left(h, coeffs, ks, y=None):
+    """A mutant of the reference that adds the same terms right to left."""
+    n = min(len(coeffs), len(ks))
+    return _hsum(h, coeffs[:n][::-1], ks[:n][::-1], y)
+
+
+def _step_sums(h, y, ks):
+    """Every stage sum of one step, with rhs returning the given stages: the
+    arguments of stages 2..7, y_new, the error estimate and the dense term."""
+    args = []
+    stages = iter(ks[1:])
+
+    def fake_rhs(t, yi, nu):
+        args.append(yi)
+        return next(stages)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eulertop, "rhs", fake_rhs)
+        out_ks, y_new, err = _dp_step((0.0,) * 7, h, y, ks[0], NU6)
+    return [*args, y_new, err, _dense(h, out_ks)]
+
+
+def _reference_sums(fold, h, y, ks):
+    stage_args = [fold(h, _A[i], ks[:i], y) for i in range(1, 7)]
+    return [*stage_args, fold(h, _A[6], ks, y), fold(h, _E, ks), fold(h, _D, ks)]
+
+
+def _agrees(fold, h, y, ks):
+    def hexes(vecs):
+        return [[x.hex() for x in v] for v in vecs]
+
+    return hexes(_step_sums(h, y, ks)) == hexes(_reference_sums(fold, h, y, ks))
+
+
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf, math.nan)
+_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_SPECIAL)
+)
+_vecs = st.tuples(*[_floats] * 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=_floats, y=_vecs, ks=st.lists(_vecs, min_size=7, max_size=7))
+def test_stage_sums_match_the_left_to_right_fold_bit_for_bit(h, y, ks):
+    assert _agrees(_hsum, h, y, ks)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [*_A[1:], _E, _D],
+    ids=[f"stage{i}" for i in range(2, 8)] + ["error", "dense"],
+)
+def test_stage_sums_keep_the_sign_of_zero(coeffs):
+    # Every term of this sum is -0.0 in component 0. The leading 0 makes the
+    # sum +0.0 there; a fold without it would leave -0.0.
+    y = (-0.0,) + (1.0,) * 5
+    ks = [((-0.0 if c >= 0 else 0.0),) + (1.0,) * 5 for c in coeffs]
+    ks += [(1.0,) * 6] * (7 - len(ks))
+    for reference in (_hsum(1.0, coeffs, ks, y), _hsum(1.0, coeffs, ks)):
+        assert reference[0].hex() == "0x0.0p+0"
+    assert _agrees(_hsum, 1.0, y, ks)
+
+
+def test_stage_sum_check_catches_a_right_to_left_fold():
+    rng = random.Random(3)
+
+    def vec():
+        return tuple(rng.uniform(-2, 2) for _ in range(6))
+
+    examples = [(rng.uniform(1e-4, 1e-2), vec(), [vec() for _ in range(7)]) for _ in range(5)]
+    assert all(_agrees(_hsum, *ex) for ex in examples)
+    assert not any(_agrees(_hsum_right_to_left, *ex) for ex in examples)
 
 
 # ---------------------------------------------------------------------------
