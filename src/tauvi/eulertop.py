@@ -24,6 +24,8 @@ tau family, three quantities are conserved or pinned to closed form:
 Integration uses an embedded Dormand-Prince 5(4) pair with PI step-size
 control and the standard quartic dense-output interpolant, so monitors can be
 evaluated at arbitrary sample points without constraining the step sequence.
+Each accepted step keeps its end points and stages, and builds the
+interpolant's coefficients only when a sample first falls in it.
 States, stages and interpolant coefficients are tuples of six Python floats.
 One step (``_dp_step``) takes each stage sum in one pass over the components,
 always in the same left-to-right order, and computes y_new once, as the
@@ -38,6 +40,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .exactalg import RatFunc
@@ -265,9 +268,23 @@ def _error_norm(err: Vec, y: Vec, y_new: Vec, tol: float) -> float:
 
 @dataclass
 class _Segment:
+    """One accepted step: its start, size, end points and stages.  The
+    interpolant's coefficients are built on the first ``eval``, since
+    ``monitor`` samples only a few of the segments."""
+
     t0: float
     h: float
-    rcont: Tuple[Vec, Vec, Vec, Vec, Vec]
+    y: Vec
+    y_new: Vec
+    ks: Tuple[Vec, ...]
+
+    @cached_property
+    def rcont(self) -> Tuple[Vec, Vec, Vec, Vec, Vec]:
+        y, h, ks = self.y, self.h, self.ks
+        ydiff = tuple(b - a for a, b in zip(y, self.y_new))
+        bspl = tuple(h * k - d for k, d in zip(ks[0], ydiff))
+        r4 = tuple(d - h * k - b for d, k, b in zip(ydiff, ks[6], bspl))
+        return (y, ydiff, bspl, r4, _dense(h, ks))
 
     def eval(self, t: float) -> Vec:
         theta = (t - self.t0) / self.h
@@ -358,10 +375,7 @@ def integrate(
         ks, y_new, err = _dp_step(stage_ts, h, y, k1, nu)
         err = _error_norm(err, y, y_new, tol)
         if err <= 1.0:
-            ydiff = tuple(b - a for a, b in zip(y, y_new))
-            bspl = tuple(h * k - d for k, d in zip(ks[0], ydiff))
-            r4 = tuple(d - h * k - b for d, k, b in zip(ydiff, ks[6], bspl))
-            traj.segments.append(_Segment(t, h, (y, ydiff, bspl, r4, _dense(h, ks))))
+            traj.segments.append(_Segment(t, h, y, y_new, ks))
             t += h
             y = y_new
             k1 = ks[6]  # first-same-as-last

@@ -23,22 +23,24 @@ and terms.  This is the content-times-primitive layout of FLINT's
   runs on the integer parts, where a remainder proves the division inexact;
   a one-term divisor has integer part +-1 and divides in one pass.
 
-A product whose smaller operand has at least ``_PACK_MIN_TERMS`` terms is
-multiplied over packed exponents (Monagan & Pearce's packed exponent
-vectors): each exponent tuple becomes one int with a slot of ``w`` bits per
-symbol, so adding two keys adds the exponent vectors and the hot loop hashes
-one int instead of building and hashing a tuple for every term pair.
+Packed exponents (Monagan & Pearce's packed exponent vectors) turn each
+exponent tuple into one int with a slot of ``w`` bits per symbol, the first
+symbol in the highest slot (``_pack`` and ``_unpack``).  Adding two keys adds
+the exponent vectors, so a hot loop hashes one int instead of building and
+hashing a tuple for every term pair; while no slot carries, int order on
+keys is lex order.  Two routines run on them:
 
-* ``w`` is the bit length of ``max_a + max_b``, the largest exponent of one
-  operand plus the largest of the other.  No slot of a sum exceeds that, so
-  no slot carries into the next and no overflow check is needed.
-* The loop runs in the tuple loop's order over keys in bijection with the
-  tuples, and decodes each output key once, in order, so ``terms`` keeps
-  tuple keys in the same insertion order; ``eval_float`` and the Euler-top
-  output depend on that order.
-* Packing each operand term and decoding each output term cost more than
-  the tuple adds they save on short operands, which is why the tuple loop
-  stays below ``_PACK_MIN_TERMS``.
+* A product whose smaller operand has at least ``_PACK_MIN_TERMS`` terms.
+  ``w`` is the bit length of ``max_a + max_b``, the largest exponent of one
+  operand plus the largest of the other, so no slot carries and no overflow
+  check is needed.  The loop runs in the tuple loop's order over keys in
+  bijection with the tuples, and decodes each output key once, in order, so
+  ``terms`` keeps tuple keys in the same insertion order; ``eval_float`` and
+  the Euler-top output depend on that order.  Packing each operand term and
+  decoding each output term cost more than the tuple adds they save on short
+  operands, which is why the tuple loop stays below ``_PACK_MIN_TERMS``.
+* Bareiss elimination inside ``fraction_free_det`` (see below), which packs
+  the matrix once and decodes only the determinant.
 
 Monomial order is graded lexicographic: higher total degree first, ties broken
 by comparing exponent tuples in symbol declaration order.  The canonical text
@@ -64,7 +66,13 @@ pass first so that sparse matrices collapse before elimination starts.  Each
 Bareiss step pivots on the entry of the trailing block with the fewest terms
 (Markowitz's sparsity rule): the step multiplies every trailing entry by the
 pivot and the next step divides every entry by it, so a short pivot keeps
-both the products and the exact divisions small.
+both the products and the exact divisions small.  Elimination runs on
+integer polynomials over packed keys: each row is scaled to integer
+coefficients, and each slot holds twice the largest degree any minor can
+reach plus a guard bit, which every division checks.  An update builds its
+two products in one dict and divides it in one pass, or by a heap when the
+divisor has several terms.  The determinant is decoded once, in descending
+graded-lex order.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ from decimal import Decimal
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
-from math import isqrt
+from math import isqrt, lcm, prod
 from operator import add as _add
 from operator import neg as _neg
 from operator import sub as _sub
@@ -419,8 +427,7 @@ class MultiPoly:
         one-term divisor needs no heap: its integer part is +-1, because it
         is primitive, so one pass over the dividend's terms in that order
         subtracts its exponent from each and fails on the first that goes
-        negative.  On the tau matrices, nearly every pivot that Bareiss
-        divides by has one term.
+        negative.
         """
         d = self._coerce(divisor)
         if d is None or d.is_zero:
@@ -509,25 +516,33 @@ class MultiPoly:
         return f"MultiPoly({self.text()})"
 
 
+def _pack(exp: tuple, w: int) -> int:
+    """One int for an exponent tuple, ``w`` bits per symbol, the first symbol
+    in the highest slot; so while no slot carries, int order is lex order."""
+    key = 0
+    for e in exp:
+        key = key << w | e
+    return key
+
+
+def _unpack(packed: dict, w: int, n: int) -> dict:
+    """``packed`` with each key decoded into an n-tuple, in the same order."""
+    shifts = range(w * (n - 1), -1, -w)
+    mask = (1 << w) - 1
+    return {tuple([k >> s & mask for s in shifts]): c for k, c in packed.items()}
+
+
 def _packed_product(a: dict, b: dict) -> dict:
     """Integer parts ``a * b`` over packed int keys, ``a`` the outer loop.
 
-    The first symbol takes the highest slot.  A zero sum deletes its key and
-    a later non-zero sum re-inserts it at the end, as with tuple keys.
+    A zero sum deletes its key and a later non-zero sum re-inserts it at the
+    end, as with tuple keys.
     """
     w = (max(map(max, a)) + max(map(max, b))).bit_length()
-    shifts = range(w * (len(next(iter(a))) - 1), -1, -w)
-
-    def pack(exp: tuple) -> int:
-        key = 0
-        for e in exp:
-            key = key << w | e
-        return key
-
-    packed_b = [(pack(eb), cb) for eb, cb in b.items()]
+    packed_b = [(_pack(eb, w), cb) for eb, cb in b.items()]
     out: dict = {}
     for ea, ca in a.items():
-        ka = pack(ea)
+        ka = _pack(ea, w)
         for kb, cb in packed_b:
             key = ka + kb
             s = out.get(key, 0) + ca * cb
@@ -535,8 +550,7 @@ def _packed_product(a: dict, b: dict) -> dict:
                 out[key] = s
             else:
                 del out[key]
-    mask = (1 << w) - 1
-    return {tuple([k >> s & mask for s in shifts]): c for k, c in out.items()}
+    return _unpack(out, w, len(next(iter(a))))
 
 
 def _raw_poly(ring: PolyRing, content: Fraction, terms: dict) -> MultiPoly:
@@ -822,18 +836,9 @@ def fraction_free_det(rows: Sequence[Sequence[MultiPoly]], ring: PolyRing = None
     one, the first such column (the tau matrices are sparse with many unit
     rows).  An empty line makes the determinant zero; a singleton is
     factored out with its cofactor sign.  The empty 0x0 determinant is 1 by
-    convention, which requires an explicit ring.
-
-    Each Bareiss step pivots on the nonzero entry of the trailing block with
-    the fewest terms, the first in row-major order on a tie, moved into place
-    by one row swap and one column swap.  The step multiplies every trailing
-    entry by the pivot and the next one divides by it exactly, so on symbolic
-    entries a one-term pivot is far cheaper than the first nonzero entry of
-    the column, which is often a dense polynomial, and ``divexact`` divides
-    by a one-term divisor in one pass.  The determinant is unique, so the
-    pivot order changes only the cost.  An update whose two products are
-    both zero leaves a zero entry and is skipped, with no multiply and no
-    division.
+    convention, which requires an explicit ring.  The dense core goes to
+    ``_packed_bareiss``, and the result is the product of the singletons
+    times the core's determinant, with the sign of both.
     """
     n = len(rows)
     if n == 0:
@@ -873,42 +878,163 @@ def fraction_free_det(rows: Sequence[Sequence[MultiPoly]], ring: PolyRing = None
 
     if not m:
         return prefactor if sign > 0 else -prefactor
+    swaps, core = _packed_bareiss(m, ring)
+    det = prefactor * core
+    return det if sign * swaps > 0 else -det
 
-    # Bareiss on the dense core, pivoting on the sparsest trailing entry.
-    k = len(m)
-    prev = ring.one()
+
+def _packed_bareiss(m: list, ring: PolyRing) -> tuple:
+    """Bareiss elimination on a dense core of at least 2x2 over packed
+    integer exponents: the sign of its row and column swaps, and its
+    determinant with terms in descending graded-lex order.
+
+    * Each row is scaled by the lcm of its entries' content denominators, so
+      that every entry is a ``{packed key: int}`` dict; the product of the
+      scales divides the determinant out at the end.
+    * Every intermediate entry is a minor, whose degree in a symbol is at
+      most D_s, the sum over rows of the row's largest exponent of that
+      symbol; the dividend of an update is a product of two minors.  A slot
+      therefore holds 2*max(D_s) plus one guard bit, which ``_packed_quotient``
+      checks, so a slot too narrow raises instead of carrying.
+    * Each step pivots on the nonzero entry of the trailing block with the
+      fewest terms, the first in row-major order on a tie, moved into place
+      by one row swap and one column swap.  The step multiplies every
+      trailing entry by the pivot and the next one divides by it exactly, so
+      a one-term pivot keeps both small.  The determinant is unique, so the
+      pivot order changes only the cost.
+    * An update builds ``a*pivot - lead*b`` in one dict and divides it by the
+      previous pivot.  An update whose two products are both zero leaves a
+      zero entry and is skipped.
+    """
+    n = ring.nvars
+    scales = [lcm(*[p.content.denominator for p in row]) for row in m]
+    bound = [0] * n
+    for row in m:
+        for s, col in enumerate(zip(*[e for p in row for e in p.terms])):
+            bound[s] += max(col)
+    w = (2 * max(bound, default=0)).bit_length() + 1
+    guard = _pack((1 << (w - 1),) * n, w)
+    mat = []
+    for row, scale in zip(m, scales):
+        packed_row = []
+        for p in row:
+            f = p.content.numerator * (scale // p.content.denominator)
+            packed_row.append({_pack(e, w): c * f for e, c in p.terms.items()})
+        mat.append(packed_row)
+
+    k = len(mat)
+    sign = 1
+    prev = {0: 1}
     for col in range(k - 1):
         best = min(
             (
-                (len(m[i][j].terms), i, j)
+                (len(mat[i][j]), i, j)
                 for i in range(col, k)
                 for j in range(col, k)
-                if m[i][j].terms
+                if mat[i][j]
             ),
             default=None,
         )
         if best is None:
-            return ring.zero()
+            return sign, ring.zero()
         _, pi, pj = best
         if pi != col:
-            m[col], m[pi] = m[pi], m[col]
+            mat[col], mat[pi] = mat[pi], mat[col]
             sign = -sign
         if pj != col:
-            for r in m:
+            for r in mat:
                 r[col], r[pj] = r[pj], r[col]
             sign = -sign
-        pivot, pivot_row = m[col][col], m[col]
+        pivot, pivot_row = mat[col][col], mat[col]
         for i in range(col + 1, k):
-            row = m[i]
+            row = mat[i]
             lead = row[col]
             for j in range(col + 1, k):
-                if row[j].terms or lead.terms and pivot_row[j].terms:
-                    num = row[j] * pivot - lead * pivot_row[j]
-                    row[j] = num.divexact(prev)
-            row[col] = ring.zero()
+                a, b = row[j], pivot_row[j]
+                if a or lead and b:
+                    num: dict = {}
+                    _add_product(num, a, pivot, 1)
+                    _add_product(num, lead, b, -1)
+                    row[j] = _packed_quotient(num, prev, guard)
         prev = pivot
-    det = prefactor * m[k - 1][k - 1]
-    return det if sign > 0 else -det
+
+    last = mat[k - 1][k - 1]
+    if not last:
+        return sign, ring.zero()
+    g = 0
+    for c in last.values():
+        g = _int_gcd(g, c)
+    terms = _unpack(last, w, n)
+    order = sorted(terms, key=_grlex_key, reverse=True)
+    content = Fraction(g, prod(scales))
+    return sign, _raw_poly(ring, content, {e: terms[e] // g for e in order})
+
+
+def _add_product(out: dict, x: dict, y: dict, sign: int) -> None:
+    """``out += sign * x * y`` on packed keys, the shorter operand outside;
+    sums that cancel stay in ``out`` as zeros."""
+    if len(x) > len(y):
+        x, y = y, x
+    get = out.get
+    for kx, cx in x.items():
+        cx *= sign
+        for ky, cy in y.items():
+            key = kx + ky
+            out[key] = get(key, 0) + cx * cy
+
+
+def _packed_quotient(num: dict, den: dict, guard: int) -> dict:
+    """Exact quotient of packed integer polynomials; zero terms of ``num``
+    are ignored and none is returned.
+
+    Raises InexactDivision on a remainder, a negative key or a set guard bit
+    in a key of ``num`` or of the quotient: a subtraction that borrows sets
+    the guard bit of the slot it borrows from, or makes the key negative.
+    A one-term ``den``, nearly every Bareiss pivot on the tau matrices,
+    divides in one pass.  Otherwise the remainder's keys are popped from a
+    max-heap: int order on packed keys is lex order, a monomial order, so
+    Monagan & Pearce's heap division applies with ``max(den)`` as the
+    leading term.
+    """
+    if len(den) == 1:
+        [(kd, cd)] = den.items()
+        q = {}
+        for k, c in num.items():
+            if c:
+                qk = k - kd
+                qc, r = divmod(c, cd)
+                if r or qk < 0 or (k | qk) & guard:
+                    raise InexactDivision(f"remainder term at packed key {k}")
+                q[qk] = qc
+        return q
+    rem = {k: c for k, c in num.items() if c}
+    if any(k & guard for k in rem):
+        raise InexactDivision("dividend key overflows its slot")
+    kd = max(den)
+    cd = den[kd]
+    heap = [-k for k in rem]
+    heapify(heap)
+    q = {}
+    while heap:
+        k = -heappop(heap)
+        c = rem.get(k)
+        if c is None:
+            continue
+        qk = k - kd
+        qc, r = divmod(c, cd)
+        if r or qk < 0 or qk & guard:
+            raise InexactDivision(f"remainder term at packed key {k}")
+        q[qk] = qc
+        for ke, ce in den.items():
+            key = qk + ke
+            s = rem.get(key, 0) - qc * ce
+            if s:
+                if key not in rem:
+                    heappush(heap, -key)
+                rem[key] = s
+            else:
+                del rem[key]
+    return q
 
 
 # ---------------------------------------------------------------------------

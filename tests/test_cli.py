@@ -448,6 +448,21 @@ def test_oracle_output_matches_golden_digest(capsys, order, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_oracle_at_m1_five_matches_golden_digest(capsys):
+    # The largest Bareiss cores any oracle run reaches: every support charge
+    # of m = (5, 0, 0), by the E route, the A route and the oracle.
+    code, out, err = run(
+        capsys, "oracle", "--mu=-5,0,0", "--nu=-2,-2,-1", "--weights=sym",
+        "--max-m1=5",
+    )
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["agree"] is True
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "122f730c720fa03ddd588b197cae04edc027d3129e38b2ed045070551bae24bd"
+    )
+
+
 # ---------------------------------------------------------------------------
 # euler
 # ---------------------------------------------------------------------------

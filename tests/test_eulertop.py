@@ -232,6 +232,33 @@ def test_sample_outside_range_rejected(family6, seeded6):
         traj.sample(0.3)
 
 
+def test_only_sampled_segments_build_their_interpolant(family6, seeded6, monkeypatch):
+    built = []
+    dense = eulertop._dense
+
+    def counted(h, ks):
+        built.append(h)
+        return dense(h, ks)
+
+    monkeypatch.setattr(eulertop, "_dense", counted)
+    traj = integrate(seeded6, family6.params.nu, 0.9, tol=1e-10)
+    assert built == [] and len(traj.segments) > 10
+    cons = conserved_from_family(family6)
+    monitor(traj, cons, [0.6, 0.61, 0.8])
+    sampled = [seg for seg in traj.segments if "rcont" in vars(seg)]
+    assert 1 <= len(sampled) == len(built) <= 3
+    # The same coefficients, bit for bit, as when every step built them.
+    for seg in traj.segments:
+        y, h, ks = seg.y, seg.h, seg.ks
+        ydiff = tuple(b - a for a, b in zip(y, seg.y_new))
+        bspl = tuple(h * k - d for k, d in zip(ks[0], ydiff))
+        r4 = tuple(d - h * k - b for d, k, b in zip(ydiff, ks[6], bspl))
+        want = (y, ydiff, bspl, r4, dense(h, ks))
+        assert [[x.hex() for x in v] for v in seg.rcont] == [
+            [x.hex() for x in v] for v in want
+        ]
+
+
 def _scan_segment(traj, t):
     """The segment a linear scan picks: the first, along the direction of
     integration, whose span widened by 1e-12 holds t; else the last."""

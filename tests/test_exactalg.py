@@ -712,20 +712,35 @@ def test_det_matches_cofactor_on_random_sparse_multivariate_matrices():
             assert fraction_free_det(rows) == _cofactor_det(rows, XYZ)
 
 
+def _record_quotients(monkeypatch) -> list:
+    """Record each (dividend, divisor) that Bareiss divides, decoded from
+    packed keys into XYZ polynomials with content 1.  The top slot's guard
+    bit is the highest bit of the guard mask, so it gives the slot width."""
+    calls = []
+    quotient = exactalg._packed_quotient
+
+    def recording(num, den, guard):
+        w = guard.bit_length() // XYZ.nvars
+        calls.append(
+            tuple(
+                exactalg._from_ints(XYZ, Fraction(1), exactalg._unpack(d, w, XYZ.nvars))
+                for d in ({k: c for k, c in num.items() if c}, den)
+            )
+        )
+        return quotient(num, den, guard)
+
+    monkeypatch.setattr(exactalg, "_packed_quotient", recording)
+    return calls
+
+
 def _det_and_first_pivot(monkeypatch, rows):
     """The determinant and the first Bareiss pivot, read off as the first
-    divisor other than 1 (step 1 divides by 1, step 2 by the first pivot)."""
-    divisors = []
-    divexact = MultiPoly.divexact
-
-    def recording(self, divisor):
-        divisors.append(divisor)
-        return divexact(self, divisor)
-
-    monkeypatch.setattr(MultiPoly, "divexact", recording)
+    divisor other than 1 (step 1 divides by 1, step 2 by the first pivot).
+    No row of ``rows`` has a fractional content, so no row is scaled."""
+    calls = _record_quotients(monkeypatch)
     det = fraction_free_det(rows)
     monkeypatch.undo()
-    return det, next(d for d in divisors if d != XYZ.one())
+    return det, next(d for _, d in calls if d != XYZ.one())
 
 
 @pytest.mark.parametrize(
@@ -765,16 +780,10 @@ def test_det_skips_updates_whose_products_are_all_zero(monkeypatch):
         if i + 1 < n:
             rows[i][i + 1] = z * (i + 1)
             rows[i + 1][i] = x * y - i
-    dividends = []
-    divexact = MultiPoly.divexact
-
-    def recording(self, divisor):
-        dividends.append(self)
-        return divexact(self, divisor)
-
-    monkeypatch.setattr(MultiPoly, "divexact", recording)
+    calls = _record_quotients(monkeypatch)
     det = fraction_free_det(rows)
     monkeypatch.undo()
+    dividends = [num for num, _ in calls]
     assert det == _cofactor_det(rows, XYZ)
     assert not det.is_zero
     # Every division has a nonzero dividend, so fewer divisions run than the
@@ -791,6 +800,188 @@ def test_det_sparsest_pivot_ties_go_to_the_first_in_row_major_order(monkeypatch)
     det, pivot = _det_and_first_pivot(monkeypatch, rows)
     assert det == _cofactor_det(rows, XYZ)
     assert pivot == x
+
+
+def _multipoly_bareiss_det(rows, ring):
+    """The MultiPoly Bareiss loop that ``fraction_free_det`` ran before its
+    packed kernel: the reference for content, terms and term order.  The
+    singleton expansion pass is the same as in ``fraction_free_det``."""
+    m = [list(r) for r in rows]
+    sign = 1
+    prefactor = ring.one()
+
+    def lines():
+        k = len(m)
+        for i in range(k):
+            yield [(i, j) for j in range(k) if not m[i][j].is_zero]
+        for j in range(k):
+            yield [(i, j) for i in range(k) if not m[i][j].is_zero]
+
+    while m:
+        nz = next((nz for nz in lines() if len(nz) <= 1), None)
+        if nz is None:
+            break
+        if not nz:
+            return ring.zero()
+        [(i, j)] = nz
+        if (i + j) % 2:
+            sign = -sign
+        prefactor = prefactor * m[i][j]
+        del m[i]
+        for r in m:
+            del r[j]
+
+    if not m:
+        return prefactor if sign > 0 else -prefactor
+    k = len(m)
+    prev = ring.one()
+    for col in range(k - 1):
+        best = min(
+            (
+                (len(m[i][j].terms), i, j)
+                for i in range(col, k)
+                for j in range(col, k)
+                if m[i][j].terms
+            ),
+            default=None,
+        )
+        if best is None:
+            return ring.zero()
+        _, pi, pj = best
+        if pi != col:
+            m[col], m[pi] = m[pi], m[col]
+            sign = -sign
+        if pj != col:
+            for r in m:
+                r[col], r[pj] = r[pj], r[col]
+            sign = -sign
+        pivot, pivot_row = m[col][col], m[col]
+        for i in range(col + 1, k):
+            row = m[i]
+            lead = row[col]
+            for j in range(col + 1, k):
+                if row[j].terms or lead.terms and pivot_row[j].terms:
+                    num = row[j] * pivot - lead * pivot_row[j]
+                    row[j] = num.divexact(prev)
+            row[col] = ring.zero()
+        prev = pivot
+    det = prefactor * m[k - 1][k - 1]
+    return det if sign > 0 else -det
+
+
+def _assert_same_det(rows, ring):
+    got = fraction_free_det(rows, ring)
+    want = _multipoly_bareiss_det(rows, ring)
+    assert got.content == want.content
+    # The same terms in the same order: eval_float sums in that order.
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+@st.composite
+def _det_matrices(draw):
+    """A k x k matrix over a ring of 1 to 15 symbols.
+
+    * Each entry has its own content denominator, so rows scale differently.
+    * ``multi``: every entry has at least two terms, so from the second step
+      on Bareiss divides by a multi-term pivot.
+    * ``peak``: each diagonal entry gains x0^top, the largest exponent
+      drawn, so the determinant reaches the degree bound k*top in x0.
+    * A zero row or column, or a row that repeats a multiple of another, so
+      that the expansion pass or the elimination finds a zero.
+    """
+    n = draw(st.integers(1, 15))
+    ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+    k = draw(st.integers(2, 4))
+    top = draw(st.integers(1, 5))
+    multi = draw(st.booleans())
+    monos = st.tuples(*[st.integers(0, top)] * n)
+    terms = st.dictionaries(
+        monos, st.integers(-9, 9).filter(bool), min_size=2 if multi else 0, max_size=3
+    )
+    dens = st.sampled_from([1, 2, 3, 5, 12])
+    rows = [
+        [MultiPoly(ring, draw(terms)) * Fraction(1, draw(dens)) for _ in range(k)]
+        for _ in range(k)
+    ]
+    if draw(st.booleans()):
+        peak = ring.var("x0") ** top
+        for i in range(k):
+            rows[i][i] = rows[i][i] + peak
+    shape = draw(st.sampled_from(["dense", "zero row", "zero column", "dependent"]))
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    if shape == "zero row":
+        rows[i] = [ring.zero()] * k
+    elif shape == "zero column":
+        for r in rows:
+            r[j] = ring.zero()
+    elif shape == "dependent" and i != j:
+        rows[i] = [p * Fraction(-2, 3) for p in rows[j]]
+    return rows, ring
+
+
+@settings(max_examples=200, deadline=None)
+@given(_det_matrices())
+def test_packed_bareiss_matches_the_multipoly_loop(case):
+    _assert_same_det(*case)
+
+
+def test_packed_bareiss_matches_the_multipoly_loop_on_tau_matrices():
+    # E and A matrices of every support charge with m1 <= 4 at order 2.
+    from tauvi.taudet import (
+        WEIGHT_SYMBOLS, TimeVector, build_A, build_E, normalize_params,
+        time_symbols,
+    )
+
+    weights = WeightMatrix.symbolic()
+    ring = PolyRing(WEIGHT_SYMBOLS + time_symbols(2))
+    u = TimeVector.symbolic(ring, 2)
+    matrices = 0
+    for m1 in range(5):
+        for m2 in range(m1 + 1):
+            for m3 in range(m2 + 1):
+                params = normalize_params((-m1, -m2, -m3), (-m1, -m2, -m3))
+                for n1 in range(-m1, -m3 + 1):
+                    for n2 in range(-m1, -m3 + 1):
+                        nu = (n1, n2, -(m1 + m2 + m3) - n1 - n2)
+                        if not params.in_support(nu):
+                            continue
+                        for build in (build_E, build_A):
+                            rows = build(params, weights, u, ring, nu=nu)
+                            if rows:
+                                _assert_same_det(rows, ring)
+                                matrices += 1
+    assert matrices > 300
+
+
+def test_packed_quotient_rejects_a_borrow_a_negative_key_and_a_remainder():
+    w = 3
+    guard = exactalg._pack((4, 4), w)
+
+    def packed(terms):
+        return {exactalg._pack(e, w): c for e, c in terms.items()}
+
+    quotient = exactalg._packed_quotient
+    assert quotient(packed({(2, 1): 6, (1, 1): -4}), packed({(1, 1): 2}), guard) == (
+        packed({(1, 0): 3, (0, 0): -2})
+    )
+    # Multi-term divisors take the heap: (x + y)(x - y) / (x + y).
+    x_plus_y = packed({(1, 0): 1, (0, 1): 1})
+    assert quotient(packed({(2, 0): 1, (0, 2): -1}), x_plus_y, guard) == (
+        packed({(1, 0): 1, (0, 1): -1})
+    )
+    failing = [
+        ({(1, 0): 1}, {(0, 1): 1}),  # x - y borrows: the y slot reads 7, its guard set
+        ({(0, 1): 1}, {(1, 0): 1}),  # a negative key
+        ({(1, 0): 3}, {(1, 0): 2}),  # 3 / 2
+        ({(5, 0): 1}, {(0, 0): 1}),  # a dividend past the bound
+        ({(1, 0): 1, (0, 0): 1}, {(0, 1): 1, (0, 0): 1}),  # a borrow on the heap
+        ({(0, 1): 1, (0, 0): 1}, {(1, 0): 1, (0, 1): 1}),  # a negative key
+        ({(2, 0): 1}, {(1, 0): 2, (0, 1): 1}),  # 1 / 2
+        ({(5, 0): 1, (4, 1): 1}, {(1, 0): 1, (0, 1): 1}),  # past the bound
+    ]
+    for num, den in failing:
+        with pytest.raises(InexactDivision):
+            quotient(packed(num), packed(den), guard)
 
 
 # -- rational functions -------------------------------------------------------
